@@ -15,7 +15,8 @@ This benchmark measures both, two ways:
   against checkpoint-plus-tail restore.  The ratio between them is the
   paper's state-saving ratio recast as a recovery-cost curve: it grows
   with journal length because replay is O(journal) while the
-  checkpointed path is O(blob + tail).
+  checkpointed path is O(WM + tail): one kernel attach over the
+  checkpointed working memory, then the tail.
 * **Live recovery**: a real worker process crashed mid-run by the
   fault injector, once with checkpointing disabled and once enabled,
   reporting the supervisor's measured replay cost and replayed-op
@@ -69,6 +70,7 @@ from repro.parallel import (  # noqa: E402
     SupervisorConfig,
     rebuild_state,
 )
+from repro.parallel.worker import resolve_checkpoint  # noqa: E402
 from repro.parallel.validate import run_recorded  # noqa: E402
 
 SNAPSHOT = os.path.join(REPO, "BENCH_fault_recovery.json")
@@ -140,9 +142,14 @@ def measure_replay_point(chain: int, tail: int, reps: int) -> dict:
     )
     # The checkpoint a prudent shard would hold: everything but the tail.
     prefix_state = rebuild_state(None, journal[:-tail])
-    checkpoint_seconds, blob = _best(prefix_state.checkpoint, reps)
+    checkpoint_seconds, checkpoint = _best(
+        lambda: resolve_checkpoint(
+            prefix_state.checkpoint(), prefix_state.productions, prefix_state.wmes
+        ),
+        reps,
+    )
     restore_seconds, restored = _best(
-        lambda: rebuild_state(blob, journal[-tail:]), reps
+        lambda: rebuild_state(checkpoint, journal[-tail:]), reps
     )
     # Both paths must land on the same state, or the timings are noise.
     assert restored.conflict_set.snapshot() == full_state.conflict_set.snapshot()
@@ -151,7 +158,7 @@ def measure_replay_point(chain: int, tail: int, reps: int) -> dict:
         "chain": chain,
         "journal_ops": len(journal),
         "tail_ops": tail,
-        "checkpoint_bytes": len(blob),
+        "checkpoint_wmes": len(checkpoint[1]),
         "checkpoint_write_seconds": checkpoint_seconds,
         "full_replay_seconds": full_seconds,
         "checkpointed_restore_seconds": restore_seconds,
@@ -311,14 +318,14 @@ def render(
     rows: list[dict], live: list[dict], wal: list[dict], fleet: list[dict]
 ) -> str:
     header = (
-        f"{'chain':>5} {'journal':>7} {'ckpt-KiB':>8} {'replay-ms':>9} "
+        f"{'chain':>5} {'journal':>7} {'ckpt-WMEs':>9} {'replay-ms':>9} "
         f"{'restore-ms':>10} {'ratio':>6}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['chain']:>5} {row['journal_ops']:>7} "
-            f"{row['checkpoint_bytes'] / 1024:>8.1f} "
+            f"{row['checkpoint_wmes']:>9} "
             f"{row['full_replay_seconds'] * 1e3:>9.2f} "
             f"{row['checkpointed_restore_seconds'] * 1e3:>10.2f} "
             f"{row['replay_over_restore']:>6.1f}"

@@ -1,42 +1,37 @@
-"""Dispatch-cost benchmark for the shard transports (``repro.parallel``).
+"""Dispatch-cost benchmark for the process transport (``repro.parallel``).
 
 The paper's parallel machine stands or falls on dispatch overhead: its
 hardware task scheduler pushes a task to a processor in about one bus
 cycle, and Section 5 budgets the whole machine around that number
 (9400 wme-changes/sec).  This benchmark measures the software analogue
-at every layer of our transport stack, pickle-pipe baseline vs
-shared-memory ring, on the closure workload's dispatch stream:
+at every layer of the ``pipe`` transport, on the closure workload's
+dispatch stream:
 
-* **dispatch** (the headline): the scheduling operation itself --
+* **dispatch** (the gated headline): the scheduling operation itself --
   publishing one ready command frame and consuming it on the other
-  side.  For the pipe that is ``send_bytes``/``recv_bytes`` (a syscall
-  pair); for the ring it is ``Ring.write``/``read_message`` (a buffer
-  copy plus a counter store).  The acceptance bar is a >=2x advantage
-  for the ring, per op, on the closure stream.
-* **marshalling**: CPU to turn a batch into wire bytes and back --
-  C ``pickle`` vs the struct codec with interned symbols, fresh and
-  through the fanout op cache -- plus frame sizes.  Reported honestly:
-  C pickle beats a pure-Python codec on serialisation CPU; the codec
-  earns its keep on bytes, on the cache, and on the wire above.
+  side, ``send_bytes``/``recv_bytes`` over a ``multiprocessing.Pipe``
+  (a syscall pair).
+* **marshalling**: CPU to turn a batch into wire bytes and back with C
+  ``pickle``, plus the frame size.
 * **full_path**: marshal + wire + unmarshal per op, the cost the
   executor actually pays per shard delivery.
 * **end_to_end**: transitive closure to natural halt -- serial
   interpreted Rete vs the compiled kernel (``repro.kernel``), then
-  inline / pipe / ring over real worker processes -- in wme-changes/sec
-  against the paper's 9400.
-* **recovery**: the differential harness (``seeded_chaos``) over both
-  transports -- a seeded crash+hang run must be bit-identical to the
-  inline reference, with the same recovery story, on either wire.
+  inline / pipe worker processes / local thread shards -- in
+  wme-changes/sec against the paper's 9400.
+* **recovery**: the differential harness (``seeded_chaos``) over the
+  pipe -- a seeded crash+hang run must be bit-identical to the serial
+  Rete reference.
 * **slots**: the ``__slots__`` micro-bench backing the Token /
   rete-node layout choice (see ``rete/nodes.py``).
 
-``--check`` compares the calibration-normalised dispatch cost of both
-transports against ``benchmarks/baselines/transport.json`` and exits 1
-on a >25% regression (``--tolerance 0.25``) -- the CI perf-smoke gate.
-Every run also writes ``BENCH_transport.json`` at the repo root (the CI
-artifact).  Raw microseconds are printed for humans; only dimensionless
-work ratios are committed, for the same machine-independence reasons as
-``bench_obs_overhead.py``.
+``--check`` compares the calibration-normalised dispatch cost against
+``benchmarks/baselines/transport.json`` and exits 1 on a >25%
+regression (``--tolerance 0.25``) or a recovery divergence -- the CI
+perf-smoke gate.  Every run also writes ``BENCH_transport.json`` at the
+repo root (the CI artifact).  Raw microseconds are printed for humans;
+only dimensionless work ratios are committed, for the same
+machine-independence reasons as ``bench_obs_overhead.py``.
 
 Usage::
 
@@ -67,11 +62,9 @@ if os.path.join(REPO, "src") not in sys.path:
 import multiprocessing  # noqa: E402
 
 from repro.ops5 import ProductionSystem  # noqa: E402
-from repro.ops5.symbols import SYMBOLS, SymbolTable  # noqa: E402
 from repro.ops5.wme import WME  # noqa: E402
 from repro.parallel import ParallelMatcher, SupervisorConfig  # noqa: E402
-from repro.parallel import codec, messages  # noqa: E402
-from repro.parallel.ring import Ring  # noqa: E402
+from repro.parallel import messages  # noqa: E402
 from repro.rete.token import Token  # noqa: E402
 
 BASELINE_PATH = os.path.join(REPO, "benchmarks", "baselines", "transport.json")
@@ -181,15 +174,15 @@ def _best_interleaved(fns: list, reps: int) -> list[float]:
 def closure_ops(count: int, start_tag: int = 1000) -> list[tuple]:
     """ADD_WME ops shaped like what the closure run actually dispatches:
     two-attribute symbol-valued facts with a modest symbol vocabulary."""
-    return [
-        (
-            messages.ADD_WME,
+    ops = []
+    for i in range(count):
+        wme = WME(
             "anc" if i % 3 else "parent",
             {"from": f"n{i % 61}", "to": f"n{(i * 7 + 1) % 61}"},
-            start_tag + i,
         )
-        for i in range(count)
-    ]
+        wme.timetag = start_tag + i
+        ops.append((messages.ADD_WME, wme))
+    return ops
 
 
 def _batches(ops: list[tuple], size: int) -> list[list[tuple]]:
@@ -199,19 +192,6 @@ def _batches(ops: list[tuple], size: int) -> list[list[tuple]]:
 def _pipe_frames(batches: list[list[tuple]]) -> list[bytes]:
     return [
         pickle.dumps((messages.BATCH, batch, seq), protocol=pickle.HIGHEST_PROTOCOL)
-        for seq, batch in enumerate(batches)
-    ]
-
-
-def _ring_frames(batches: list[list[tuple]]) -> list[bytes]:
-    """Steady-state codec frames: symbols pre-interned so no frame
-    carries a table delta (matching a warmed-up run)."""
-    watermark = len(SYMBOLS)
-    for seq, batch in enumerate(batches):  # intern every symbol once
-        codec.encode_batch(batch, seq, SYMBOLS, watermark)
-    watermark = len(SYMBOLS)
-    return [
-        codec.encode_batch(batch, seq, SYMBOLS, watermark)[0]
         for seq, batch in enumerate(batches)
     ]
 
@@ -226,11 +206,9 @@ def measure_dispatch(profile: dict) -> tuple[dict, float]:
 
     Both sides run in this process so nothing but the transfer is
     timed: no scheduler handoff, no worker-side match work.  Messages
-    alternate publish/consume, which keeps the ring on its fast path
-    (two slice stores + one counter store) exactly as a draining worker
-    would; the pipe pays its syscall pair either way.  Calibration runs
-    in the same rounds as both transports so the committed ratios see
-    one machine state, not three.
+    alternate publish/consume, as a draining worker would.  Calibration
+    runs in the same rounds as the pipe so the committed ratio sees one
+    machine state, not two.
     """
     reps = profile["reps"]
     rows = {}
@@ -239,14 +217,11 @@ def measure_dispatch(profile: dict) -> tuple[dict, float]:
         ops = closure_ops(batch_size * profile["messages"])
         batches = _batches(ops, batch_size)
         pframes = _pipe_frames(batches)
-        rframes = _ring_frames(batches)
-        n_msgs = len(batches)
-        n_ops = n_msgs * batch_size
+        n_ops = len(batches) * batch_size
 
         # A duplex Pipe, exactly what _ProcessShard opens: the executor's
         # pipe transport sends and receives on one bidirectional channel.
         send_conn, recv_conn = multiprocessing.Pipe()
-        ring = Ring.create(1 << 20)
         try:
             def pipe_round() -> None:
                 send = send_conn.send_bytes
@@ -255,32 +230,19 @@ def measure_dispatch(profile: dict) -> tuple[dict, float]:
                     send(frame)
                     recv()
 
-            def ring_round() -> None:
-                write = ring.write
-                read = ring.read_message
-                for frame in rframes:
-                    write(frame)
-                    read()
-
-            pipe_round(), ring_round(), _spin()  # warm
-            pipe_s, ring_s, cal_s = _best_interleaved(
-                [pipe_round, ring_round, _spin], reps
-            )
+            pipe_round(), _spin()  # warm
+            pipe_s, cal_s = _best_interleaved([pipe_round, _spin], reps)
         finally:
             send_conn.close()
             recv_conn.close()
-            ring.close()
 
         cal = min(cal, cal_s)
         rows[label] = {
             "batch_size": batch_size,
-            "messages": n_msgs,
+            "messages": len(batches),
             "pipe_us_per_op": pipe_s / n_ops * 1e6,
-            "ring_us_per_op": ring_s / n_ops * 1e6,
-            "advantage": pipe_s / ring_s,
-            # Committed (machine-independent) numbers: work ratios.
+            # Committed (machine-independent) number: a work ratio.
             "pipe_ratio": pipe_s / n_ops / cal_s,
-            "ring_ratio": ring_s / n_ops / cal_s,
         }
     return rows, cal
 
@@ -292,9 +254,9 @@ def measure_dispatch(profile: dict) -> tuple[dict, float]:
 
 def measure_marshalling(profile: dict) -> dict:
     reps = profile["reps"]
-    ops = closure_ops(profile["messages"])
-    batches = _batches(ops, 1)
+    batches = _batches(closure_ops(profile["messages"]), 1)
     n_ops = len(batches)
+    pframes = _pipe_frames(batches)
 
     def pickle_encode() -> None:
         dumps = pickle.dumps
@@ -302,57 +264,16 @@ def measure_marshalling(profile: dict) -> dict:
         for seq, batch in enumerate(batches):
             dumps((messages.BATCH, batch, seq), protocol=proto)
 
-    # Warm the global table so fresh-encode timing is the steady state
-    # (no delta strings), exactly like a mid-run dispatch.
-    _ring_frames(batches[:4])
-    watermark = len(SYMBOLS)
-
-    def codec_fresh() -> None:
-        encode = codec.encode_batch
-        for seq, batch in enumerate(batches):
-            encode(batch, seq, SYMBOLS, watermark)
-
-    shared_cache: dict[int, bytes] = {}
-    for seq, batch in enumerate(batches):  # fill: the first shard's encode
-        codec.encode_batch(batch, seq, SYMBOLS, watermark, shared_cache)
-
-    def codec_cached() -> None:
-        # Every op hits the shared epoch cache -- the executor's fanout
-        # path, where shard 2..N reuse the bytes shard 1 produced.
-        encode = codec.encode_batch
-        for seq, batch in enumerate(batches):
-            encode(batch, seq, SYMBOLS, watermark, shared_cache)
-
-    pframes = _pipe_frames(batches)
-    rframes = _ring_frames(batches)
-
     def pickle_decode() -> None:
         loads = pickle.loads
         for frame in pframes:
             loads(frame)
 
-    # Steady-state frames carry no delta, so seed the mirror the way a
-    # worker's would have been seeded: by every symbol shipped so far.
-    mirror = SymbolTable()
-    mirror.extend(SYMBOLS.delta(0))
-
-    def codec_decode() -> None:
-        decode = codec.decode_batch
-        for frame in rframes:
-            decode(frame, mirror)
-
     out = {}
-    for name, fn in (
-        ("pickle_encode", pickle_encode),
-        ("codec_encode_fresh", codec_fresh),
-        ("codec_encode_cached", codec_cached),
-        ("pickle_decode", pickle_decode),
-        ("codec_decode", codec_decode),
-    ):
+    for name, fn in (("pickle_encode", pickle_encode), ("pickle_decode", pickle_decode)):
         fn()  # warm
         out[name + "_us_per_op"] = _best(fn, reps) / n_ops * 1e6
     out["frame_bytes_pipe"] = len(pframes[0])
-    out["frame_bytes_ring"] = len(rframes[0])
     return out
 
 
@@ -365,14 +286,8 @@ def measure_full_path(profile: dict) -> dict:
     reps = profile["reps"]
     rows = {}
     for batch_size, label in ((1, "batch1"), (4, "batch4")):
-        ops = closure_ops(batch_size * profile["messages"])
-        batches = _batches(ops, batch_size)
+        batches = _batches(closure_ops(batch_size * profile["messages"]), batch_size)
         n_ops = len(batches) * batch_size
-        _ring_frames(batches[:4])  # warm the symbol table
-        watermark = len(SYMBOLS)
-        mirror = SymbolTable()
-        mirror.extend(SYMBOLS.delta(0))
-
         send_conn, recv_conn = multiprocessing.Pipe()
         try:
             def pipe_full() -> None:
@@ -389,26 +304,7 @@ def measure_full_path(profile: dict) -> dict:
         finally:
             send_conn.close()
             recv_conn.close()
-
-        ring = Ring.create(1 << 20)
-        try:
-            def ring_full() -> None:
-                encode, decode = codec.encode_batch, codec.decode_batch
-                write, read = ring.write, ring.read_message
-                for seq, batch in enumerate(batches):
-                    frame, _ = encode(batch, seq, SYMBOLS, watermark)
-                    write(frame)
-                    decode(read(), mirror)
-
-            ring_full()
-            ring_s = _best(ring_full, reps)
-        finally:
-            ring.close()
-
-        rows[label] = {
-            "pipe_us_per_op": pipe_s / n_ops * 1e6,
-            "ring_us_per_op": ring_s / n_ops * 1e6,
-        }
+        rows[label] = {"pipe_us_per_op": pipe_s / n_ops * 1e6}
     return rows
 
 
@@ -422,7 +318,7 @@ def _closure_chain(length: int) -> list[tuple]:
 
 
 def measure_end_to_end(profile: dict) -> dict:
-    """The closure run to natural halt over each transport.
+    """The closure run to natural halt, serial and over each transport.
 
     A chain of N parent edges derives N(N+1)/2 ancestor facts; every
     make is one wme change, so changes/sec is directly comparable with
@@ -463,7 +359,7 @@ def measure_end_to_end(profile: dict) -> dict:
     for label, kind, workers in (
         ("inline", "pipe", 0),
         ("pipe", "pipe", 2),
-        ("ring", "ring", 2),
+        ("local", "local", 2),
     ):
         with ParallelMatcher(workers=workers, transport=kind, supervisor=FAST) as m:
             system = ProductionSystem(CLOSURE, matcher=m)
@@ -481,7 +377,6 @@ def measure_end_to_end(profile: dict) -> dict:
             "wme_changes_per_sec": changes / elapsed,
             "dispatches": summary.get("dispatches", 0),
             "bytes_sent": summary.get("bytes_sent", 0),
-            "ring_stalls": summary.get("ring_stalls", 0),
         }
     rows["paper_target_wme_changes_per_sec"] = PAPER_TARGET
     return rows
@@ -493,41 +388,28 @@ def measure_end_to_end(profile: dict) -> dict:
 
 
 def measure_recovery() -> dict:
-    """Seeded crash+hang chaos over ring and pipe: both must be
-    bit-identical to the inline reference with the same recovery story
-    (the transport half of the acceptance criterion)."""
+    """Seeded crash+hang chaos over the pipe: the recovered run must be
+    bit-identical to the serial Rete reference."""
     from repro.faults import seeded_chaos
 
-    setup = _closure_chain(6)
-    reports = {
-        kind: seeded_chaos(
-            CLOSURE,
-            setup,
-            seed=13,
-            workers=2,
-            crashes=1,
-            hangs=1,
-            supervisor=SupervisorConfig(collect_deadline=0.5, checkpoint_every=4),
-            transport=kind,
-        )
-        for kind in ("ring", "pipe")
-    }
-    stories = {
-        kind: [
-            (e["shard"], e["seq"], e["cause"], e["action"])
-            for e in report.recovery_events
-        ]
-        for kind, report in reports.items()
-    }
+    report = seeded_chaos(
+        CLOSURE,
+        _closure_chain(6),
+        seed=13,
+        workers=2,
+        crashes=1,
+        hangs=1,
+        supervisor=SupervisorConfig(collect_deadline=0.5, checkpoint_every=4),
+        transport="pipe",
+    )
     return {
-        kind: {
+        "pipe": {
             "identical": report.identical,
             "divergences": report.divergences,
             "recovery_events": len(report.recovery_events),
             "halted": report.halted,
         }
-        for kind, report in reports.items()
-    } | {"stories_match": stories["ring"] == stories["pipe"]}
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -632,32 +514,19 @@ def report(measured: dict) -> None:
           f"(calibration {measured['calibration_seconds'] * 1e3:.2f} ms)")
     print("dispatch (publish + consume one ready frame, per op):")
     for label, row in measured["dispatch"].items():
-        print(
-            f"  {label:<7} pipe {row['pipe_us_per_op']:6.2f} us   "
-            f"ring {row['ring_us_per_op']:6.2f} us   "
-            f"ring advantage {row['advantage']:.2f}x"
-        )
+        print(f"  {label:<7} pipe {row['pipe_us_per_op']:6.2f} us")
     m = measured["marshalling"]
-    print("marshalling (per op):")
     print(
-        f"  encode: pickle {m['pickle_encode_us_per_op']:5.2f} us   "
-        f"codec fresh {m['codec_encode_fresh_us_per_op']:5.2f} us   "
-        f"codec cached {m['codec_encode_cached_us_per_op']:5.2f} us"
-    )
-    print(
-        f"  decode: pickle {m['pickle_decode_us_per_op']:5.2f} us   "
-        f"codec {m['codec_decode_us_per_op']:5.2f} us   "
-        f"frame bytes pipe {m['frame_bytes_pipe']} / ring {m['frame_bytes_ring']}"
+        f"marshalling (per op): pickle encode {m['pickle_encode_us_per_op']:5.2f} us   "
+        f"decode {m['pickle_decode_us_per_op']:5.2f} us   "
+        f"frame bytes {m['frame_bytes_pipe']}"
     )
     print("full path (marshal + wire + unmarshal, per op):")
     for label, row in measured["full_path"].items():
-        print(
-            f"  {label:<7} pipe {row['pipe_us_per_op']:6.2f} us   "
-            f"ring {row['ring_us_per_op']:6.2f} us"
-        )
+        print(f"  {label:<7} pipe {row['pipe_us_per_op']:6.2f} us")
     print("end to end (closure to halt, wme-changes/sec; paper budget "
           f"{PAPER_TARGET}):")
-    for label in ("rete", "compiled", "inline", "pipe", "ring"):
+    for label in ("rete", "compiled", "inline", "pipe", "local"):
         row = measured["end_to_end"][label]
         extra = f"  dispatches={row['dispatches']}" if "dispatches" in row else ""
         if "speedup_vs_rete" in row:
@@ -666,11 +535,7 @@ def report(measured: dict) -> None:
             f"  {label:<8} w={row['workers']}  {row['seconds'] * 1e3:7.1f} ms  "
             f"{row['wme_changes_per_sec']:7.0f} changes/sec{extra}"
         )
-    r = measured["recovery"]
-    print(
-        "recovery: ring identical=%s pipe identical=%s stories_match=%s"
-        % (r["ring"]["identical"], r["pipe"]["identical"], r["stories_match"])
-    )
+    print(f"recovery: pipe identical={measured['recovery']['pipe']['identical']}")
     s = measured["slots"]
     print(
         f"slots: Token {s['token_slots_ns_per_op']:.0f} ns/op vs dict-backed "
@@ -681,10 +546,7 @@ def report(measured: dict) -> None:
 def _gate_rows(measured: dict) -> dict:
     """The dimensionless numbers the baseline commits and --check gates."""
     return {
-        label: {
-            "pipe_ratio": row["pipe_ratio"],
-            "ring_ratio": row["ring_ratio"],
-        }
+        label: {"pipe_ratio": row["pipe_ratio"]}
         for label, row in measured["dispatch"].items()
     }
 
@@ -706,23 +568,19 @@ def check(measured: dict, tolerance: float) -> int:
         return 2
     failures = []
     for label, row in _gate_rows(measured).items():
-        for side in ("pipe_ratio", "ring_ratio"):
-            expected = baseline["dispatch"][label][side]
-            got = row[side]
-            drift = got / expected - 1.0
-            status = "ok" if drift <= tolerance else "REGRESSED"
-            print(
-                f"  {label}/{side:<10} {got:8.4f} vs baseline {expected:8.4f} "
-                f"({drift:+.1%}, tolerance {tolerance:.0%}): {status}"
-            )
-            if drift > tolerance:
-                failures.append(f"{label}/{side}")
-    for kind in ("ring", "pipe"):
-        if not measured["recovery"][kind]["identical"]:
-            print(f"  recovery/{kind}: NOT bit-identical", file=sys.stderr)
-            failures.append(f"recovery/{kind}")
-    if not measured["recovery"]["stories_match"]:
-        failures.append("recovery/stories")
+        expected = baseline["dispatch"][label]["pipe_ratio"]
+        got = row["pipe_ratio"]
+        drift = got / expected - 1.0
+        status = "ok" if drift <= tolerance else "REGRESSED"
+        print(
+            f"  {label}/pipe_ratio {got:8.4f} vs baseline {expected:8.4f} "
+            f"({drift:+.1%}, tolerance {tolerance:.0%}): {status}"
+        )
+        if drift > tolerance:
+            failures.append(f"{label}/pipe_ratio")
+    if not measured["recovery"]["pipe"]["identical"]:
+        print("  recovery/pipe: NOT bit-identical", file=sys.stderr)
+        failures.append("recovery/pipe")
     if failures:
         print(
             f"FAIL: dispatch cost or recovery regressed on "
@@ -730,8 +588,7 @@ def check(measured: dict, tolerance: float) -> int:
             file=sys.stderr,
         )
         return 1
-    print("PASS: dispatch cost within tolerance; recovery bit-identical "
-          "on both transports")
+    print("PASS: dispatch cost within tolerance; recovery bit-identical")
     return 0
 
 

@@ -87,15 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an OPS5 program file")
     run.add_argument("file", help="OPS5 source file")
     run.add_argument("--wmes", help="file of initial (class ^attr value ...) elements")
-    run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="compiled")
     run.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for --matcher parallel (0 = inline)",
     )
     run.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel "
-             "(auto = shared-memory ring when available)",
+        "--transport", choices=["pipe", "local"], default=None,
+        help="shard transport for --matcher parallel (default pipe)",
     )
     run.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     run.add_argument("--max-cycles", type=int, default=None)
@@ -113,14 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a bundled example program")
     demo.add_argument("name", choices=sorted(ALL_PROGRAMS))
-    demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="compiled")
     demo.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for --matcher parallel (0 = inline)",
     )
     demo.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel",
+        "--transport", choices=["pipe", "local"], default=None,
+        help="shard transport for --matcher parallel (default pipe)",
     )
 
     sim = sub.add_parser("simulate", help="replay a workload on the PSM model")
@@ -237,14 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_source.add_argument("--file", help="OPS5 program file")
     profile_source.add_argument("--demo", choices=sorted(ALL_PROGRAMS))
     profile.add_argument("--wmes", help="initial memory for --file runs")
-    profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="compiled")
     profile.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for --matcher parallel (0 = inline)",
     )
     profile.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel",
+        "--transport", choices=["pipe", "local"], default=None,
+        help="shard transport for --matcher parallel (default pipe)",
     )
     profile.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     profile.add_argument("--max-cycles", type=int, default=None)
@@ -270,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard worker processes for the faulted run",
     )
     chaos.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default="auto",
+        "--transport", choices=["pipe", "local"], default="pipe",
         help="shard transport for the faulted run (recovery must be "
              "bit-identical over either)",
     )
@@ -353,9 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes per parallel backend",
     )
     fuzz.add_argument(
-        "--transports", default="pipe,ring,local",
-        help="comma-separated parallel transports to include "
-             "(ring is skipped with a note when unavailable)",
+        "--transports", default="pipe,local",
+        help="comma-separated parallel transports to include",
     )
     fuzz.add_argument("--max-cycles", type=int, default=40)
     fuzz.add_argument(
@@ -760,18 +758,14 @@ def _cmd_serve(args) -> int:
 def _cmd_matchers(args) -> int:
     """List matcher backends and shard transports from the registries."""
     from .ops5.engine import MATCHER_DESCRIPTIONS
-    from .parallel import ring_available
 
     print("matchers:")
     for name in MATCHER_NAMES:
         print(f"  {name:<13} {MATCHER_DESCRIPTIONS[name]}")
     print("transports (for --matcher parallel):")
-    ring_note = "" if ring_available() else " [unavailable on this host]"
-    print("  pipe          pickled duplex pipes (always available)")
-    print(f"  ring          shared-memory SPSC byte rings{ring_note}")
+    print("  pipe          worker processes over pickled duplex pipes (default)")
     print("  local         thread shards sharing one compiled kernel "
           "(zero-copy, work stealing)")
-    print("  auto          ring when available, else pipe")
     return 0
 
 
@@ -826,7 +820,7 @@ def _cmd_chaos(args) -> int:
         print("-- no scheduled fault fired (run ended before the horizon)")
     verdict = "bit-identical" if report.identical else "DIVERGED"
     print(
-        f"-- faulted run ({report.transport} transport) vs inline reference: "
+        f"-- faulted run ({report.transport} transport) vs serial rete reference: "
         f"{verdict} ({report.fired_cycles} cycles, halted={report.halted})"
     )
     for problem in report.divergences:
@@ -931,8 +925,6 @@ def _cmd_fuzz(args) -> int:
         print()
         print(case.stream_text())
         with MatcherFleet(workers=args.workers, transports=transports) as fleet:
-            for note in fleet.notes:
-                print(f"-- {note}")
             outcome = run_case(case, fleet.backends(), max_cycles=args.max_cycles)
         if outcome.ok:
             print(f"-- case seed {args.case_seed}: all backends agree")
@@ -957,8 +949,6 @@ def _cmd_fuzz(args) -> int:
         shrink_attempts=args.shrink_attempts,
         on_case=progress,
     )
-    for note in report.notes:
-        print(f"-- {note}")
     print(
         f"-- profile {report.profile}: {report.iterations} cases in "
         f"{report.elapsed:.1f}s across {len(report.backends)} backends "

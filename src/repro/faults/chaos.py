@@ -4,7 +4,7 @@
 guarantee: a parallel run with injected worker failures must produce a
 **bit-identical** observable record -- firing sequence, per-cycle
 conflict sets, output, final working memory, halt state -- to the
-inline fault-free reference.  The supervisor may respawn workers,
+fault-free serial Rete reference.  The supervisor may respawn workers,
 replay journals, even demote shards to inline execution; none of that
 is allowed to show up in the result, only in the fault summary.
 
@@ -37,8 +37,8 @@ class ChaosReport:
     halted: bool
     fault_summary: dict
     recovery_events: list[dict] = field(default_factory=list)
-    transport: str = "auto"
-    #: Labels of the compared runs (inline reference, faulted parallel,
+    transport: str = "pipe"
+    #: Labels of the compared runs (serial Rete reference, faulted parallel,
     #: optionally the compiled kernel under its Rete oracle).
     participants: list[str] = field(default_factory=list)
 
@@ -73,22 +73,22 @@ def run_chaos(
     max_cycles: int = 200,
     supervisor=None,
     recorder=None,
-    transport: str = "auto",
+    transport: str = "pipe",
     with_compiled: bool = False,
 ) -> ChaosReport:
-    """Run one program twice -- faulted parallel vs. inline reference.
+    """Run one program twice -- faulted parallel vs. serial Rete reference.
 
-    The reference runs first on an inline (``workers=0``) matcher with
-    no faults; the subject runs on *workers* process shards consulting
-    *plan*.  Both are reduced to
+    The reference runs first on the serial interpreted Rete, a matcher
+    independent of the shards' compiled kernel, so a kernel-shard bug
+    cannot pass as bit-identical; the subject runs on *workers* shards
+    consulting *plan*.  Both are reduced to
     :class:`~repro.parallel.validate.RunRecord` and compared field by
     field.  *supervisor* optionally overrides the
     :class:`~repro.parallel.supervisor.SupervisorConfig` (chaos tests
     shrink the collect deadline so injected hangs are detected in
     milliseconds, not half a minute).  *transport* selects the subject's
-    shard transport (the reference is inline, so it has none): recovery
-    must be bit-identical over the shared-memory ring exactly as over
-    pickled pipes.
+    shard transport: recovery must be bit-identical over thread shards
+    exactly as over worker processes.
 
     With ``with_compiled=True`` a third participant joins the
     comparison: the generated match kernel running in oracle mode
@@ -100,12 +100,12 @@ def run_chaos(
     # this package's plan module, so a top-level import would be cyclic.
     from ..parallel.executor import ParallelMatcher
     from ..parallel.validate import DifferentialReport, run_recorded
+    from ..rete.network import ReteNetwork
 
     report = DifferentialReport()
-    with ParallelMatcher(workers=0) as reference:
-        report.records["inline"] = run_recorded(
-            productions, setup, reference, strategy=strategy, max_cycles=max_cycles
-        )
+    report.records["rete"] = run_recorded(
+        productions, setup, ReteNetwork(), strategy=strategy, max_cycles=max_cycles
+    )
     if with_compiled:
         from ..kernel.matcher import CompiledMatcher
 
@@ -128,7 +128,7 @@ def run_chaos(
         )
         summary = subject.fault_summary()
         events = [event.snapshot() for event in subject.fault_events()]
-        resolved = subject.transport_summary().get("kind", transport)
+        resolved = subject.transport_summary()["kind"]
     return ChaosReport(
         workers=workers,
         plan_rows=plan.snapshot(),
@@ -349,7 +349,7 @@ def seeded_chaos(
     max_cycles: int = 200,
     strategy: str = "lex",
     recorder=None,
-    transport: str = "auto",
+    transport: str = "pipe",
     with_compiled: bool = False,
 ) -> ChaosReport:
     """``run_chaos`` with a :meth:`FaultPlan.seeded` plan -- the CLI's

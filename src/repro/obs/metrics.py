@@ -27,8 +27,8 @@ Snapshot shape (sections appear when their source exists)::
                    "checkpoint_seconds", "events", ...},
       "transport": {"kind", "dispatches", "eager_dispatches",
                    "frames_sent", "bytes_sent", "frames_received",
-                   "bytes_received", "pickle_fallbacks", "ring_stalls",
-                   "mean_dispatch_latency_us", "symbols", ...},
+                   "bytes_received", "send_seconds", "recv_seconds",
+                   "mean_dispatch_latency_us", "symbols"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "columns", "subscriptions", "replayed_wmes", "oracle",
                    "cache"},
@@ -129,9 +129,9 @@ def _matcher_sections(matcher) -> dict:
         # checkpoint timings, recent recovery events.  Reading it does
         # not flush (it is coordinator-side bookkeeping only).
         sections["faults"] = matcher.fault_summary()
-        # Dispatch-path rollup: frames/bytes per direction, pickle
-        # fallbacks, ring stall episodes, intern-table size, and the
-        # per-dispatch latency the batching is trying to amortise.
+        # Dispatch-path rollup: frames/bytes per direction, intern-table
+        # size, and the per-dispatch latency the batching is trying to
+        # amortise.
         sections["transport"] = matcher.transport_summary()
         # Shared-memory backend only: the work-stealing scheduler's
         # counters (steals, helped tasks, fast-path batches, epoch

@@ -2,11 +2,11 @@
 
 Where :mod:`repro.psim` *predicts* the paper's machine by discrete-event
 simulation, this package *executes* match work concurrently: productions
-are partitioned over shard worker processes, each owning its slice of
-the Rete network's alpha/beta memories, with a work-queue coordinator
-and a batch barrier per recognize--act cycle.  See
-``docs/parallel-backend.md`` for the architecture and its GIL-driven
-design constraints.
+are partitioned over shards -- worker processes or threads -- each
+running its slice of the ruleset on the compiled kernel, with a
+work-queue coordinator and a batch barrier per recognize--act cycle.
+See ``docs/parallel-backend.md`` for the architecture and its
+GIL-driven design constraints.
 
 Public surface:
 
@@ -17,20 +17,15 @@ Public surface:
 * :func:`~repro.parallel.validate.compare_backends` /
   :func:`~repro.parallel.validate.validate_parallel` -- differential
   validation of any backend set;
-* the transport layer -- :data:`~repro.parallel.transport.TRANSPORTS`
-  (``auto``/``ring``/``pipe``), :class:`~repro.parallel.ring.Ring`, the
-  struct codec, and :class:`DispatchConfig` for batched dispatch
-  tuning.
+* the transports -- :data:`~repro.parallel.transport.TRANSPORTS`
+  (``pipe``/``local``);
+* the shard state -- :class:`ShardState`, its
+  :class:`RecordingConflictSet`, and :func:`rebuild_state`, the
+  recovery path's checkpoint + journal replay.
 """
 
-from .executor import (
-    DispatchConfig,
-    ParallelMatcher,
-    WorkQueue,
-    default_worker_count,
-)
-from .ring import Ring, RingStall
-from .transport import TRANSPORTS, TransportStats, resolve_transport, ring_available
+from .executor import ParallelMatcher, WorkQueue, default_worker_count
+from .transport import TRANSPORTS, TransportStats
 from .supervisor import (
     RecoveryEvent,
     ShardFailure,
@@ -57,13 +52,8 @@ __all__ = [
     "ParallelMatcher",
     "WorkQueue",
     "default_worker_count",
-    "DispatchConfig",
-    "Ring",
-    "RingStall",
     "TRANSPORTS",
     "TransportStats",
-    "resolve_transport",
-    "ring_available",
     "Partition",
     "SharingLoss",
     "assign_productions",

@@ -1,19 +1,19 @@
-"""The live parallel match executor: Rete on a supervised process pool.
+"""The live parallel match executor: compiled-kernel shards behind a barrier.
 
-This is the repo's fourth matcher backend -- the first one that
-*executes* match work in parallel instead of simulating it.  The design
-maps the paper's Section 5 machine onto what CPython can actually do
-(see ``examples/gil_wall.py``: threads hit the GIL, so concurrency
-comes from processes):
+This is the repo's parallel matcher backend -- the one that *executes*
+match work concurrently instead of simulating it.  The design maps the
+paper's Section 5 machine onto what CPython can actually do:
 
-* **Partitioned alpha/beta memories.**  Productions are distributed
-  over shard workers (:mod:`repro.parallel.partition`); each worker
-  compiles its share into a private Rete network, so every alpha
-  memory, beta memory, and join lives in exactly one process.
+* **Partitioned match state.**  Productions are distributed over shards
+  (:mod:`repro.parallel.partition`); each shard compiles its share into
+  a private kernel runtime (:class:`~repro.parallel.worker.ShardState`),
+  so every alpha store and join bucket lives in exactly one shard.
+  Shards are worker processes (``transport="pipe"``) or threads in this
+  process (``transport="local"``, :mod:`repro.parallel.local`).
 * **Per-node locks by ownership.**  A node's memory is only ever
-  touched by its owning worker, which serialises activations of one
+  touched by its owning shard, which serialises activations of one
   node (the paper's node-memory lock, uncontended by construction)
-  while nodes in different shards execute truly concurrently.
+  while nodes in different shards execute concurrently.
 * **A work queue mirroring the hardware task scheduler.**  The
   coordinator routes each working-memory change to the shards whose
   partitions contain a condition element of the WME's class (the
@@ -32,22 +32,22 @@ disjoint production sets, their edits are disjoint by production and
 the merged set -- and therefore conflict resolution, firing order, and
 every downstream result -- is bit-identical for every worker count,
 including the inline ``workers=0`` mode that runs the same shard code
-in-process.
+on the caller's thread.
 
 **Supervision** (see :mod:`repro.parallel.supervisor` and
 ``docs/fault-tolerance.md``): collection waits with a deadline instead
-of blocking forever, so a crashed worker (EOF on the pipe) or a hung
+of blocking forever, so a crashed shard (EOF on the pipe) or a hung
 one (deadline expiry) surfaces as a :class:`ShardFailure`.  The
-coordinator then kills the remains, spawns a replacement, rebuilds its
+coordinator then kills the remains, starts a replacement, rebuilds its
 match state from the last checkpoint plus the op journal -- match state
 is a deterministic function of the op stream (the paper's Section 3.1
 premise), so the rebuilt shard is bit-identical -- and re-dispatches
 the batch the failure interrupted.  After ``max_failures`` consecutive
-failures a shard is *demoted* to an in-process inline shard, so the run
-always completes.  Because the fault plan keys on batch sequence
-numbers that recovery never reuses, injected faults fire exactly once
-and the recovered run's conflict-set stream matches the fault-free
-reference bit for bit.
+failures a shard is *demoted* to an inline shard, so the run always
+completes.  Because the fault plan keys on batch sequence numbers that
+recovery never reuses, injected faults fire exactly once and the
+recovered run's conflict-set stream matches the fault-free reference
+bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from ..faults.plan import FaultPlan
@@ -67,17 +66,16 @@ from ..ops5.production import Instantiation, Production
 from ..ops5.symbols import SYMBOLS
 from ..ops5.wme import WME
 from . import messages
-from .local import LocalScheduler, _LocalShard, rebuild_local_state
+from .local import LocalScheduler, _LocalShard
 from .partition import Partition, assign_productions, production_weight
-from .ring import RingStall
 from .supervisor import (
     RecoveryEvent,
     ShardFailure,
     ShardSupervisor,
     SupervisorConfig,
 )
-from .transport import TRANSPORTS, TransportStats, create_endpoint, resolve_transport
-from .worker import ShardState, rebuild_state, shard_main
+from .transport import TRANSPORTS, TransportStats, _ProcessShard
+from .worker import _InlineShard, rebuild_state, resolve_checkpoint
 
 
 def default_worker_count() -> int:
@@ -97,31 +95,16 @@ def _context():
     return multiprocessing.get_context()
 
 
-@dataclass(frozen=True)
-class DispatchConfig:
-    """Batched-dispatch tuning: when to wake a shard before the barrier.
-
-    The paper's scheduler argument cuts both ways: dispatch must be
-    cheap, *and* a worker should start chewing while the coordinator is
-    still routing the rest of the cycle's changes.  ``eager_ops`` is
-    the queue depth at which a shard's pending batch is dispatched
-    early (``None`` restores pure barrier dispatch); with ``adaptive``
-    the threshold tracks half the shard's recent ops-per-cycle (EWMA),
-    clamped to ``[min_ops, max_ops]``, so small cycles stay single-batch
-    while bulk loads pipeline.  Eager dispatch only applies to process
-    shards -- inline shards gain nothing from starting early.
-    """
-
-    eager_ops: Optional[int] = 64
-    adaptive: bool = True
-    min_ops: int = 16
-    max_ops: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.eager_ops is not None and self.eager_ops < 1:
-            raise ValueError("eager_ops must be >= 1 (or None to disable)")
-        if self.min_ops < 1 or self.max_ops < self.min_ops:
-            raise ValueError("need 1 <= min_ops <= max_ops")
+#: Eager dispatch: a shard's pending batch is dispatched before the
+#: barrier once its queue is this deep, so the shard starts matching
+#: while the coordinator is still routing the rest of the cycle.  The
+#: threshold tracks half the shard's recent ops-per-cycle (EWMA),
+#: clamped to ``[EAGER_MIN_OPS, EAGER_MAX_OPS]``, so small cycles stay
+#: single-batch while bulk loads pipeline.
+EAGER_MIN_OPS = 16
+EAGER_MAX_OPS = 1024
+#: Starting ops-per-cycle estimate (an initial threshold of 64 ops).
+_EWMA_START = 128.0
 
 
 class _InflightBatch:
@@ -136,190 +119,6 @@ class _InflightBatch:
         self.sent_at = sent_at  # recorder clock (0 when disabled)
         self.start = start  # perf_counter at dispatch
         self.eager = eager
-
-
-class _ProcessShard:
-    """Coordinator-side handle for one worker process.
-
-    All pipe I/O funnels through :meth:`_send` and :meth:`collect`, which
-    translate the three ways a worker can disappear -- broken pipe on
-    send, EOF on receive, silence past the deadline -- into a
-    :class:`ShardFailure` naming the shard and the cause, so the
-    executor's recovery path sees one exception type everywhere.
-    """
-
-    def __init__(
-        self,
-        ctx,
-        index: int,
-        fault_plan: Optional[FaultPlan] = None,
-        transport_kind: str = "pipe",
-        send_timeout: Optional[float] = 30.0,
-        op_cache: Optional[dict] = None,
-    ) -> None:
-        self.index = index
-        conn, child = ctx.Pipe()
-        self.endpoint = create_endpoint(transport_kind, conn, send_timeout)
-        if op_cache is not None and hasattr(self.endpoint, "op_cache"):
-            # Share the matcher-wide epoch cache: op bodies reference the
-            # process-global symbol table, so the bytes for a WME op are
-            # identical no matter which shard receives them.  Fanning the
-            # same op to N shards then encodes it once, not N times.
-            self.endpoint.op_cache = op_cache
-        spec = self.endpoint.worker_spec(child)
-        self.process = ctx.Process(
-            target=shard_main,
-            args=(spec, index, fault_plan),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        self.process.start()
-        child.close()
-
-    @property
-    def conn(self):
-        """The liveness/data pipe (tests and tooling peek at it)."""
-        return self.endpoint.conn
-
-    def _send(self, payload: tuple) -> None:
-        try:
-            self.endpoint.send(payload)
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(
-                self.index, cause, "command ring full (worker not draining)"
-            ) from None
-        except (EOFError, BrokenPipeError, OSError):
-            raise ShardFailure(self.index, "crash", "pipe broken on send") from None
-
-    def dispatch(self, ops: Sequence[Sequence[Any]], seq: Optional[int] = None) -> None:
-        self._send((messages.BATCH, ops, seq))
-
-    def collect(self, deadline: Optional[float] = None) -> tuple:
-        """Receive one reply; *deadline* seconds of silence is a hang."""
-        if deadline is not None:
-            try:
-                ready = self.endpoint.poll(deadline)
-            except (OSError, EOFError):
-                raise ShardFailure(self.index, "crash", "pipe closed") from None
-            if not ready:
-                raise ShardFailure(
-                    self.index, "hang", f"no reply within {deadline:g}s"
-                )
-        try:
-            return self.endpoint.recv()
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(
-                self.index, cause, "reply frame stalled mid-message"
-            ) from None
-        except EOFError:
-            raise ShardFailure(self.index, "crash", "pipe reached EOF") from None
-
-    def checkpoint(self, deadline: Optional[float] = None) -> Optional[bytes]:
-        """Round-trip a checkpoint request; ``None`` if the worker declined."""
-        self._send((messages.CHECKPOINT,))
-        reply = self.collect(deadline)
-        if reply[0] != messages.CHECKPOINT:
-            return None
-        return reply[1]
-
-    def restore_pickled(self, payload: bytes, deadline: Optional[float] = None) -> int:
-        """Rebuild the worker's state from a pre-pickled restore command
-        (see ``ShardSupervisor.restore_message_bytes``); returns the
-        replayed op count."""
-        try:
-            self.endpoint.send_pickled(payload)
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(self.index, cause, "ring full during restore") from None
-        except (EOFError, BrokenPipeError, OSError):
-            raise ShardFailure(self.index, "crash", "pipe broken on restore") from None
-        reply = self.collect(deadline)
-        if reply[0] != messages.RESTORED:
-            detail = reply[1] if len(reply) > 1 else repr(reply)
-            raise ShardFailure(self.index, "crash", f"restore failed: {detail}")
-        return reply[1]
-
-    def restore(
-        self,
-        checkpoint: Optional[bytes],
-        journal: Sequence[Sequence[Any]],
-        deadline: Optional[float] = None,
-    ) -> int:
-        """Rebuild the worker's state; returns the replayed op count."""
-        self._send((messages.RESTORE, checkpoint, list(journal)))
-        reply = self.collect(deadline)
-        if reply[0] != messages.RESTORED:
-            detail = reply[1] if len(reply) > 1 else repr(reply)
-            raise ShardFailure(self.index, "crash", f"restore failed: {detail}")
-        return reply[1]
-
-    def transport_stats(self) -> TransportStats:
-        return self.endpoint.stats_snapshot()
-
-    def stop(self) -> None:
-        """Graceful stop, escalating to SIGTERM then SIGKILL.
-
-        A worker wedged in a way SIGTERM cannot reach (e.g. SIGSTOPped)
-        still gets reaped: SIGKILL acts even on stopped processes.  The
-        endpoint is closed on every path, including when the sends or
-        joins themselves raise.
-        """
-        try:
-            try:
-                self.endpoint.send((messages.STOP,))
-            except (RingStall, EOFError, BrokenPipeError, OSError):
-                pass
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=5.0)
-        finally:
-            self.endpoint.close()
-
-    def kill(self) -> None:
-        """Reap the worker without ceremony (recovery path)."""
-        try:
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=5.0)
-        finally:
-            self.endpoint.close()
-
-
-class _InlineShard:
-    """A shard that runs in-process: same code, no IPC.
-
-    Serves two roles: the ``workers=0`` serial reference configuration,
-    and the *demotion* target -- a shard whose worker keeps dying is
-    rebuilt from its journal into one of these, trading parallelism for
-    completion.  Inline shards never consult the fault plan: a fault
-    executed in-process would take the coordinator down with it.
-    """
-
-    def __init__(self, index: int, state: Optional[ShardState] = None) -> None:
-        self.index = index
-        self.state = state if state is not None else ShardState()
-        #: FIFO of uncollected replies (recovery re-dispatch can queue
-        #: several batches before the collect loop drains them).
-        self._replies: list[tuple] = []
-
-    def dispatch(self, ops: Sequence[Sequence[Any]], seq: Optional[int] = None) -> None:
-        edits, stat_rows = self.state.apply_batch(ops)
-        self._replies.append((messages.OK, edits, stat_rows))
-
-    def collect(self, deadline: Optional[float] = None) -> tuple:
-        assert self._replies
-        return self._replies.pop(0)
-
-    def stop(self) -> None:
-        self._replies = []
 
 
 class WorkQueue:
@@ -376,15 +175,15 @@ _BACKFILL = -1
 
 
 class ParallelMatcher(Matcher):
-    """A :class:`~repro.ops5.matcher.Matcher` over a shard process pool.
+    """A :class:`~repro.ops5.matcher.Matcher` over a pool of kernel shards.
 
     Parameters
     ----------
     workers:
-        Number of shard processes.  ``0`` runs a single inline shard in
-        this process (no ``multiprocessing`` at all) -- the degenerate
-        serial configuration with identical semantics.  ``None`` picks
-        :func:`default_worker_count`.
+        Number of shards.  ``0`` runs a single inline shard on the
+        caller's thread (no ``multiprocessing``, no threads) -- the
+        degenerate serial configuration with identical semantics.
+        ``None`` picks :func:`default_worker_count`.
     recorder:
         Optional :class:`~repro.obs.Recorder`.  When enabled, every
         flush barrier records a coordinator span (lane 0) and one
@@ -394,8 +193,8 @@ class ParallelMatcher(Matcher):
         Failures add ``shard-failure`` instants and ``shard-recovery``
         spans on the failed shard's lane.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`.  Worker processes
-        consult it before serving each batch, keyed by the batch's
+        Optional :class:`~repro.faults.FaultPlan`.  Process and thread
+        shards consult it before serving each batch, keyed by the batch's
         sequence number, making crashes/hangs/slowdowns land at exact,
         reproducible points.  Inline shards (``workers=0`` and demoted
         shards) never consult it.
@@ -404,19 +203,13 @@ class ParallelMatcher(Matcher):
         overriding collect deadlines, checkpoint cadence, and the
         demotion threshold.
     transport:
-        ``"pipe"`` (pickled tuples over ``multiprocessing.Pipe``),
-        ``"ring"`` (struct-packed frames over shared-memory SPSC rings,
-        symbols interned -- the PSM-style cheap scheduler), ``"local"``
-        (shards as threads sharing this address space, each executing
-        the *compiled kernel* under a work-stealing scheduler -- no
-        serialisation at all, see :mod:`repro.parallel.local`), or
-        ``"auto"`` (ring where shared memory works, else pipe).  The
-        merged results are bit-identical across transports; only the
-        dispatch cost changes (``benchmarks/bench_transport.py``).
-    dispatch:
-        Optional :class:`DispatchConfig` tuning eager batched dispatch
-        (dispatching a shard's queue before the cycle barrier once it
-        is deep enough, so workers overlap with coordinator routing).
+        ``"pipe"`` (worker processes fed pickled tuples over a
+        ``multiprocessing.Pipe``) or ``"local"`` (shards as threads
+        sharing this address space under a work-stealing scheduler --
+        no serialisation at all, see :mod:`repro.parallel.local`).
+        Both run the compiled kernel; the merged results are
+        bit-identical across transports and only the dispatch cost
+        changes (``benchmarks/bench_transport.py``).
 
     Use as a context manager (or call :meth:`close`) so the worker
     processes are reaped deterministically; they are daemonic, so an
@@ -429,8 +222,7 @@ class ParallelMatcher(Matcher):
         recorder=None,
         fault_plan: Optional[FaultPlan] = None,
         supervisor: Optional[SupervisorConfig] = None,
-        transport: str = "auto",
-        dispatch: Optional[DispatchConfig] = None,
+        transport: str = "pipe",
     ) -> None:
         # Matcher.__init__ is deliberately not called: `conflict_set` and
         # `stats` are flush-on-read properties here, not attributes.
@@ -445,7 +237,6 @@ class ParallelMatcher(Matcher):
             )
         self.workers = workers
         self.transport = transport
-        self.dispatch_config = dispatch if dispatch is not None else DispatchConfig()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.fault_plan = fault_plan
         self._shard_count = max(1, workers)
@@ -455,7 +246,7 @@ class ParallelMatcher(Matcher):
         self._conflict_set = ConflictSet()
         self._stats = MatchStats()
         self._queue = WorkQueue(self._shard_count)
-        self._shards: list[_ProcessShard | _InlineShard | _LocalShard] | None = None
+        self._shards: list[_ProcessShard | _LocalShard | _InlineShard] | None = None
         self._ctx = None
         #: Work-stealing thread scheduler (local transport only).
         self._scheduler: Optional[LocalScheduler] = None
@@ -475,29 +266,21 @@ class ParallelMatcher(Matcher):
         self._wmes: dict[int, WME] = {}
         self._pending_removals: list[int] = []
         self._closed = False
-        #: Resolved transport kind ("ring"/"pipe"), set at pool start;
-        #: stays None for workers=0 (everything inline, nothing on a wire).
-        self._transport_kind: Optional[str] = None
         #: Dispatched-but-uncollected batches, FIFO per shard.
         self._inflight: list[list[_InflightBatch]] = [
             [] for _ in range(self._shard_count)
         ]
         #: EWMA of WME+production ops per flush epoch, per shard (drives
         #: the adaptive eager threshold).
-        self._ewma: list[float] = [
-            float(2 * (self.dispatch_config.eager_ops or 64))
-        ] * self._shard_count
+        self._ewma: list[float] = [_EWMA_START] * self._shard_count
         self._epoch_ops: list[int] = [0] * self._shard_count
         self._dispatches = 0
         self._eager_dispatches = 0
         self._latency_seconds = 0.0
         self._latency_count = 0
-        #: Wire stats of endpoints that no longer exist (killed,
-        #: stopped, demoted) -- folded into transport_summary().
+        #: Wire stats of pipes that no longer exist (killed, stopped,
+        #: demoted) -- folded into transport_summary().
         self._retired_stats = TransportStats()
-        #: Epoch-scoped WME op byte cache shared by every ring endpoint
-        #: (fanout encodes each op once); cleared at each flush boundary.
-        self._op_cache: dict[int, bytes] = {}
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -513,55 +296,26 @@ class ParallelMatcher(Matcher):
         if self.workers == 0:
             self._shards = [_InlineShard(0)]
         else:
-            try:
-                self._transport_kind = resolve_transport(self.transport)
-            except ValueError as error:
-                raise Ops5Error(str(error)) from None
-            if self._transport_kind == "local":
-                # Thread shards in this address space: no context, no
-                # endpoints -- one shared work-stealing scheduler.
+            if self.transport == "local":
                 self._scheduler = LocalScheduler(self._shard_count)
-                self._shards = [
-                    self._new_shard(i) for i in range(self._shard_count)
-                ]
             else:
                 self._ctx = _context()
-                self._shards = [
-                    self._new_shard(i) for i in range(self._shard_count)
-                ]
+            self._shards = [self._new_shard(i) for i in range(self._shard_count)]
         for partition in assign_productions(self._unpartitioned, self._shard_count):
             for production in partition.productions:
                 self._place(production, partition.index)
         self._unpartitioned = []
 
     def _new_shard(self, index: int) -> "_ProcessShard | _LocalShard":
-        """A fresh shard of whatever kind the resolved transport implies."""
-        if self._transport_kind == "local":
+        """A fresh shard of whatever kind the transport implies."""
+        if self.transport == "local":
             return _LocalShard(index, self._scheduler, self.fault_plan)
-        return _ProcessShard(
-            self._ctx,
-            index,
-            self.fault_plan,
-            transport_kind=self._transport_kind or "pipe",
-            send_timeout=self._supervisor.config.collect_deadline,
-            op_cache=self._op_cache,
-        )
-
-    def _encode_wme(self, wme: WME) -> tuple:
-        """The WME-insert op for the resolved transport.
-
-        Local shards share this address space, so the op carries the
-        live object -- zero-copy dispatch; process shards get the
-        picklable ``(+w, cls, attrs, timetag)`` form.
-        """
-        if self._transport_kind == "local":
-            return (messages.ADD_WME_REF, wme)
-        return messages.encode_wme(wme)
+        return _ProcessShard(self._ctx, index, self.fault_plan)
 
     def _absorb_shard_stats(self, shard) -> None:
-        """Fold a doomed endpoint's wire stats into the retired rollup."""
+        """Fold a doomed pipe's wire stats into the retired rollup."""
         if isinstance(shard, _ProcessShard):
-            self._retired_stats.absorb(shard.transport_stats())
+            self._retired_stats.absorb(shard.stats)
 
     def close(self) -> None:
         """Stop the worker pool.  Further matching raises; stats and the
@@ -598,13 +352,16 @@ class ParallelMatcher(Matcher):
         new_classes = classes - self._subscribed[shard]
         # Backfill: the shard must hold the current WMEs of any class it
         # has not been hearing about, or the new rule would match against
-        # a partial working memory.
+        # a partial working memory.  WMEs whose removal is queued are
+        # skipped: that removal was routed before this subscription, so
+        # the shard would never hear of it.
+        removing = set(self._pending_removals)
         for cls in sorted(new_classes):
             for timetag in sorted(self._wmes):
                 wme = self._wmes[timetag]
-                if wme.cls == cls:
+                if wme.cls == cls and timetag not in removing:
                     self._queue.push(
-                        shard, self._encode_wme(wme), change=_BACKFILL
+                        shard, (messages.ADD_WME, wme), change=_BACKFILL
                     )
         self._subscribed[shard] |= classes
         self._queue.push(shard, (messages.ADD_PRODUCTION, production))
@@ -648,7 +405,7 @@ class ParallelMatcher(Matcher):
         change = self._queue.open_change("add", wme.cls)
         targets = self._route(wme.cls)
         for shard in targets:
-            self._queue.push(shard, self._encode_wme(wme), change=change)
+            self._queue.push(shard, (messages.ADD_WME, wme), change=change)
         self._maybe_eager(targets)
 
     def remove_wme(self, wme: WME) -> None:
@@ -665,19 +422,16 @@ class ParallelMatcher(Matcher):
     # -- eager batched dispatch ---------------------------------------------
 
     def _eager_threshold(self, shard: int) -> int:
-        config = self.dispatch_config
-        if not config.adaptive:
-            return config.eager_ops  # type: ignore[return-value]
-        return min(config.max_ops, max(config.min_ops, int(self._ewma[shard] / 2)))
+        return min(EAGER_MAX_OPS, max(EAGER_MIN_OPS, int(self._ewma[shard] / 2)))
 
     def _maybe_eager(self, shards: Sequence[int]) -> None:
         """Dispatch any deep-enough pending batch before the barrier.
 
-        Only for process shards: the point is overlapping worker match
-        time with coordinator routing, which an inline shard (same
-        process, synchronous apply) cannot do.
+        Not for ``workers=0``: the point is overlapping shard match time
+        with coordinator routing, which an inline shard (synchronous
+        apply on the caller's thread) cannot do.
         """
-        if self.dispatch_config.eager_ops is None or self.workers == 0:
+        if self.workers == 0:
             return
         for i in shards:
             if len(self._queue.pending[i]) >= self._eager_threshold(i):
@@ -788,9 +542,6 @@ class ParallelMatcher(Matcher):
         self._pending_removals = []
 
         self._maybe_checkpoint(active)
-        for shard in self._shards:
-            if isinstance(shard, _ProcessShard):
-                shard.endpoint.end_epoch()
         if self._scheduler is not None:
             self._scheduler.end_epoch()
 
@@ -825,15 +576,11 @@ class ParallelMatcher(Matcher):
         records = self._inflight[i]
         while records:
             record = records[0]
-            shard = self._shards[i]
-            if isinstance(shard, _InlineShard):
-                reply = shard.collect()
-            else:
-                try:
-                    reply = shard.collect(config.collect_deadline)
-                except ShardFailure as failure:
-                    self._recover(failure, seq=record.seq)
-                    continue
+            try:
+                reply = self._shards[i].collect(config.collect_deadline)
+            except ShardFailure as failure:
+                self._recover(failure, seq=record.seq)
+                continue
             if reply[0] != messages.OK:
                 error = RuntimeError(
                     f"shard worker {i} failed: {reply[1]}\n{reply[2]}"
@@ -887,13 +634,9 @@ class ParallelMatcher(Matcher):
         (post-error garbage; see :meth:`_collect_inflight`)."""
         deadline = self._supervisor.config.collect_deadline
         for _ in range(count):
-            shard = self._shards[i]
             try:
-                if isinstance(shard, _InlineShard):
-                    shard.collect()
-                else:
-                    shard.collect(deadline)
-            except (ShardFailure, AssertionError):
+                self._shards[i].collect(deadline)
+            except (ShardFailure, IndexError):
                 # Dead, hung, or short on replies: the follow-up restore
                 # rebuilds it regardless; stop draining.
                 break
@@ -901,13 +644,14 @@ class ParallelMatcher(Matcher):
     # -- recovery ---------------------------------------------------------------
 
     def _recover(self, failure: ShardFailure, seq: Optional[int]) -> None:
-        """Replace a failed shard worker and rebuild its match state.
+        """Replace a failed shard and rebuild its match state.
 
-        Respawns a fresh process and replays checkpoint + journal into
-        it (as one cached, pre-pickled restore message -- serialised
-        once per journal change, however many retries this takes);
-        after ``max_failures`` consecutive failures the shard is
-        demoted to an inline shard instead (same rebuild, no process).
+        Starts a fresh shard and replays checkpoint + journal into it (a
+        worker process gets one cached, pre-pickled restore message --
+        serialised once per journal change, however many retries this
+        takes); after ``max_failures`` consecutive failures the shard is
+        demoted to an inline shard instead (same rebuild, no process,
+        no thread).
         The shard's whole in-flight window is then re-dispatched: none
         of those batches were journalled, so the rebuilt state predates
         all of them (re-sent with no sequence number: injected faults
@@ -930,45 +674,26 @@ class ParallelMatcher(Matcher):
         started = time.perf_counter()
         recovery_start = rec.now() if rec.enabled else 0
         shard = self._shards[i]
-        if isinstance(shard, _ProcessShard):
-            self._absorb_shard_stats(shard)
-            shard.kill()
-        elif isinstance(shard, _LocalShard):
-            shard.kill()
+        self._absorb_shard_stats(shard)
+        shard.kill()
         journal_ops = sup.journal_length(i)
         used_checkpoint = sup.checkpoints[i] is not None
-        local = self._transport_kind == "local"
         attempts = 0
         while True:
             attempts += 1
             if failures >= sup.config.max_failures:
                 replay_started = time.perf_counter()
-                checkpoint, journal = sup.recovery_payload(i)
-                if local:
-                    # Demote to a synchronous (schedulerless) thread
-                    # shard: still the compiled kernel, no concurrency.
-                    self._shards[i] = _LocalShard(
-                        i, state=rebuild_local_state(checkpoint, journal)
-                    )
-                else:
-                    state = rebuild_state(checkpoint, journal)
-                    self._shards[i] = _InlineShard(i, state)
+                state = rebuild_state(*sup.recovery_payload(i))
+                self._shards[i] = _InlineShard(i, state)
                 replay_seconds = time.perf_counter() - replay_started
                 for record in self._inflight[i]:
                     self._shards[i].dispatch(record.ops, None)
                 action = "demoted"
                 break
-            if not local and self._ctx is None:  # pragma: no cover - workers=0 guard
-                self._ctx = _context()
             replacement = self._new_shard(i)
             try:
                 replay_started = time.perf_counter()
-                if isinstance(replacement, _LocalShard):
-                    replacement.restore(*sup.recovery_payload(i))
-                else:
-                    replacement.restore_pickled(
-                        sup.restore_message_bytes(i), sup.config.recovery_deadline
-                    )
+                self._restore(replacement)
                 replay_seconds = time.perf_counter() - replay_started
                 for record in self._inflight[i]:
                     replacement.dispatch(record.ops, None)
@@ -1005,41 +730,47 @@ class ParallelMatcher(Matcher):
                 args=event.snapshot(),
             )
 
+    def _restore(self, shard) -> None:
+        """Rebuild *shard* from its supervisor checkpoint + journal."""
+        sup = self._supervisor
+        if isinstance(shard, _ProcessShard):
+            shard.restore_pickled(
+                sup.restore_message_bytes(shard.index), sup.config.recovery_deadline
+            )
+        else:
+            shard.restore(*sup.recovery_payload(shard.index))
+
     def _restore_worker(self, i: int) -> None:
         """Put shard *i*'s journalled state back after an error reply."""
-        shard = self._shards[i]
-        if isinstance(shard, _LocalShard):
-            shard.restore(*self._supervisor.recovery_payload(i))
-            return
-        if not isinstance(shard, _ProcessShard):
-            return
         try:
-            shard.restore_pickled(
-                self._supervisor.restore_message_bytes(i),
-                self._supervisor.config.recovery_deadline,
-            )
+            self._restore(self._shards[i])
         except ShardFailure as failure:
             self._recover(failure, seq=None)
 
     def _maybe_checkpoint(self, shards: Iterable[int]) -> None:
         """Take due checkpoints (only ever at a batch boundary, when the
-        workers' edit journals are drained -- state, never output)."""
+        shards' edit journals are drained -- state, never output).
+
+        A shard reports production names and timetags; they are
+        resolved here, against the coordinator's own objects, so every
+        shard later rebuilt from the checkpoint files instantiations
+        over the live WMEs the engine removes by identity.  Every
+        timetag a shard holds is still live here: its removals were
+        applied before this barrier.
+        """
         sup = self._supervisor
         for i in shards:
             if not sup.wants_checkpoint(i):
                 continue
-            shard = self._shards[i]
             started = time.perf_counter()
-            if isinstance(shard, _InlineShard):
-                blob = shard.state.checkpoint()
-            else:
-                try:
-                    blob = shard.checkpoint(sup.config.recovery_deadline)
-                except ShardFailure as failure:
-                    self._recover(failure, seq=None)
-                    continue
-            if blob is not None:
-                sup.store_checkpoint(i, blob, time.perf_counter() - started)
+            try:
+                raw = self._shards[i].checkpoint(sup.config.recovery_deadline)
+            except ShardFailure as failure:
+                self._recover(failure, seq=None)
+                continue
+            if raw is not None:
+                checkpoint = resolve_checkpoint(raw, self._productions, self._wmes)
+                sup.store_checkpoint(i, checkpoint, time.perf_counter() - started)
 
     # -- bulk control ----------------------------------------------------------
 
@@ -1078,27 +809,23 @@ class ParallelMatcher(Matcher):
 
     def transport_summary(self) -> dict:
         """JSON-ready wire accounting for the metrics ``transport``
-        section: frames/bytes both directions, ring stalls, pickle
-        fallbacks, intern-table size, and dispatch counts/latency."""
+        section: frames/bytes both directions, intern-table size, and
+        dispatch counts/latency."""
         totals = TransportStats()
         totals.absorb(self._retired_stats)
         if self._shards is not None:
             for shard in self._shards:
                 if isinstance(shard, _ProcessShard):
-                    totals.absorb(shard.transport_stats())
+                    totals.absorb(shard.stats)
         mean_latency_us = (
             self._latency_seconds / self._latency_count * 1e6
             if self._latency_count
             else 0.0
         )
-        config = self.dispatch_config
         return {
-            "kind": self._transport_kind
-            or ("inline" if self.workers == 0 else self.transport),
+            "kind": "inline" if self.workers == 0 else self.transport,
             "dispatches": self._dispatches,
             "eager_dispatches": self._eager_dispatches,
-            "eager_ops": config.eager_ops,
-            "adaptive": config.adaptive,
             "mean_dispatch_latency_us": mean_latency_us,
             "symbols": len(SYMBOLS),
             **totals.snapshot(),
@@ -1147,9 +874,9 @@ class ParallelMatcher(Matcher):
     def _merge_edits(self, edits: Sequence[tuple]) -> None:
         for edit in edits:
             if edit[0] == messages.INSERT_REF:
-                # Zero-copy insert from a thread shard: the very object
-                # the kernel built.  Same removed-production race as the
-                # encoded form below, resolved via the instantiation key.
+                # Zero-copy insert from an in-process shard: the very
+                # object the kernel built.  Same removed-production race
+                # as the wire form below, resolved via the key.
                 inst = edit[1]
                 if inst.production.name not in self._productions:
                     self._skipped_inserts.add(inst.key)

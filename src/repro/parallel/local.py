@@ -1,24 +1,20 @@
-"""The shared-memory parallel backend: compiled-kernel shards as threads.
+"""The ``local`` transport: thread shards on the compiled kernel.
 
 The paper's Sections 4-5 argue that production-system parallelism only
 pays when a dispatch costs about one scheduler operation -- the PSM gets
 there with a hardware task queue over a *shared* match network.  The
-process backends (``pipe``, ``ring``) partition the network across
-address spaces and pay marshalling per op; this module is the
-third backend, ``local``, which removes the boundary instead:
+``pipe`` transport partitions the ruleset across worker processes and
+pays a pickle round-trip per batch; this module removes the boundary
+instead:
 
 * Shards are **threads in the coordinator's address space**.  They
   share the process-wide symbol intern table, the
   :class:`~repro.kernel.shared.SharedKernel` registry (one codegen +
   module exec per ruleset shape, whichever shard gets there first), and
   the columnar alpha-store layout.
-* Each shard executes the **compiled kernel**
-  (:mod:`repro.kernel`) rather than the interpreted Rete -- per-activation
-  match cost, not coordination, dominates the budget.
-* A dispatch is an **append to a shared deque** -- no codec, no ring
-  frames, no pickle.  WME inserts travel as ``("+wr", wme)`` object
-  references (:data:`~repro.parallel.messages.ADD_WME_REF`), and
-  conflict-set inserts come back as live
+* A dispatch is an **append to a shared deque** -- no pickle.  WME
+  inserts travel as ``("+w", wme)`` object references and conflict-set
+  inserts come back as live
   :class:`~repro.ops5.production.Instantiation` references.
 * Scheduling is **work stealing at node-activation granularity**: a
   shard's lane of ops is drained in small grains, and between grains
@@ -27,11 +23,12 @@ third backend, ``local``, which removes the boundary instead:
   it.  The flush barrier is a **counting epoch**: per-lane
   published/completed counters, no channel round-trip.
 
-The coordinator-facing surface mirrors the process shards exactly
-(``dispatch`` / ``collect`` / ``checkpoint`` / ``restore`` / ``stop`` /
-``kill`` plus fault-plan consultation), so
-:class:`~repro.parallel.executor.ParallelMatcher` drives all three
-backends through one seam and the chaos/differential harnesses run
+Each lane holds a :class:`~repro.parallel.worker.ShardState`, the same
+state a worker process runs.  The coordinator-facing surface mirrors
+the process shard (``dispatch`` / ``collect`` / ``checkpoint`` /
+``restore`` / ``stop`` / ``kill`` plus fault-plan consultation), so
+:class:`~repro.parallel.executor.ParallelMatcher` drives both
+transports through one seam and the chaos/differential harnesses run
 unchanged over this one.
 
 Correctness discipline
@@ -51,23 +48,14 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..faults.plan import CRASH, HANG, HANG_FOREVER, PIPE_DROP, SLOW, FaultPlan
-from ..kernel.runtime import KernelRuntime
-from ..kernel.shared import shared_kernel
-from ..ops5.conflict import ConflictSet
-from ..ops5.production import Production
-from ..ops5.wme import WME
 from . import messages
 from .supervisor import ShardFailure
+from .worker import Checkpoint, ShardState, _apply_or_error, rebuild_state
 
-__all__ = [
-    "LocalKernelState",
-    "LocalScheduler",
-    "_LocalShard",
-    "rebuild_local_state",
-]
+__all__ = ["LocalScheduler", "_LocalShard"]
 
 #: How many queued ops a worker runs before returning the lane to a
 #: ready deque -- the steal window, i.e. the node-activation grain.
@@ -76,249 +64,6 @@ DEFAULT_GRAIN = 16
 #: Sleep-task slice: injected hangs sleep in increments this long and
 #: re-check the lane's abandoned flag, so kill() unwinds threads fast.
 _SLEEP_SLICE = 0.02
-
-
-class _RecordingConflictSet(ConflictSet):
-    """A conflict set that journals its edits as zero-copy tuples.
-
-    The process workers' recorder encodes inserts as
-    ``("i", name, timetags, bindings)`` so they survive pickling; here
-    both sides share an address space, so an insert is recorded as
-    ``("I", instantiation)`` -- the coordinator files the very same
-    object into its own conflict set.  Deletes stay ``("d", name,
-    timetags)``.  ``delete_key`` is the override point (generated
-    kernels bind it directly as ``cs_delete``); ``delete`` funnels
-    through it, so nothing records twice.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.edits: list[tuple] = []
-
-    def insert(self, inst) -> None:
-        super().insert(inst)
-        self.edits.append((messages.INSERT_REF, inst))
-
-    def delete_key(self, key) -> None:
-        super().delete_key(key)
-        self.edits.append((messages.DELETE, key[0], key[1]))
-
-    def drain(self) -> list[tuple]:
-        edits, self.edits = self.edits, []
-        return edits
-
-
-class LocalKernelState:
-    """One shard's match state: a compiled kernel over its rule slice.
-
-    The thread-shard analogue of :class:`~repro.parallel.worker.ShardState`,
-    but executing generated kernel closures instead of a
-    :class:`~repro.rete.ReteNetwork`.  Mirrors
-    :class:`~repro.kernel.matcher.CompiledMatcher`'s rebuild policy:
-    production edits while WM is empty only mark the state dirty (one
-    compile per final ruleset shape, so loading N productions does not
-    pollute the process-wide kernel cache with N-1 prefix shapes); once
-    WMEs exist an edit rebuilds immediately and emits the conflict-set
-    *diff* as edits, because the coordinator incrementally maintains its
-    merged view.
-    """
-
-    def __init__(self) -> None:
-        self.productions: dict[str, Production] = {}
-        self.wmes: dict[int, WME] = {}
-        self.conflict_set = _RecordingConflictSet()
-        self._rt: Optional[KernelRuntime] = None
-        self._dirty = False
-
-    # -- op application ----------------------------------------------------
-
-    def apply_op(self, op: Sequence, wme_ordinal: int) -> Optional[tuple]:
-        """Apply one batch op; return a stats row for WME ops, else None."""
-        tag = op[0]
-        if tag == messages.ADD_WME_REF:
-            return self._add_wme(op[1], wme_ordinal)
-        if tag == messages.ADD_WME:
-            return self._add_wme(messages.decode_wme(op), wme_ordinal)
-        if tag == messages.REMOVE_WME:
-            return self._remove_wme(op[1], wme_ordinal)
-        if tag == messages.ADD_PRODUCTION:
-            production = op[1]
-            self.productions[production.name] = production
-            self._ruleset_edit()
-            return None
-        if tag == messages.REMOVE_PRODUCTION:
-            del self.productions[op[1]]
-            self._ruleset_edit()
-            return None
-        if tag == messages.RESET:
-            self.productions = {}
-            self.wmes = {}
-            self.conflict_set = _RecordingConflictSet()
-            self._rt = None
-            self._dirty = False
-            return None
-        raise ValueError(f"unknown op tag {tag!r}")
-
-    def apply_batch(self, ops: Iterable[Sequence]) -> tuple[list, list]:
-        """Apply *ops* in order; return ``(edits, stat_rows)``.
-
-        Used by the demoted-inline path and by restore replay; the
-        scheduled path applies ops one at a time so grains interleave.
-        """
-        stat_rows: list[tuple] = []
-        ordinal = 0
-        for op in ops:
-            row = self.apply_op(op, ordinal)
-            if row is not None:
-                stat_rows.append(row)
-                ordinal += 1
-        return self.conflict_set.drain(), stat_rows
-
-    def _add_wme(self, wme: WME, ordinal: int) -> tuple:
-        if self._dirty:
-            self._rebuild(diff=False)
-        self.wmes[wme.timetag] = wme
-        rt = self._rt
-        if rt is None:
-            return (ordinal, 0, 0, 0, 0)
-        stores = rt.by_class.get(wme.cls)
-        if not stores:
-            return (ordinal, 0, 0, 0, 0)
-        counters = rt.counters
-        b0, b1, b2 = counters
-        affected: set[str] = set()
-        for store in stores:
-            predicate = store.predicate
-            if predicate is None or predicate(wme):
-                store.insert(wme)
-                affected |= store.production_names
-                for fn in store.add_subs:
-                    fn(wme)
-        return (
-            ordinal,
-            len(affected),
-            counters[0] - b0,
-            counters[1] - b1,
-            counters[2] - b2,
-        )
-
-    def _remove_wme(self, timetag: int, ordinal: int) -> tuple:
-        self._ensure_built()
-        wme = self.wmes.pop(timetag)
-        rt = self._rt
-        if rt is None:
-            return (ordinal, 0, 0, 0, 0)
-        counters = rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        hit = [s for s in rt.by_class.get(wme.cls, ()) if timetag in s.rows]
-        # Two-phase, like CompiledMatcher: retraction subscribers run
-        # while the columns still hold the dying WME, then rows drop.
-        for store in hit:
-            affected |= store.production_names
-            for fn in store.del_subs:
-                fn(wme)
-        for store in hit:
-            store.remove(wme)
-        return (
-            ordinal,
-            len(affected),
-            counters[0] - base[0],
-            counters[1] - base[1],
-            counters[2] - base[2],
-        )
-
-    # -- (re)compilation ---------------------------------------------------
-
-    def _ruleset_edit(self) -> None:
-        if self.wmes:
-            self._rebuild(diff=True)
-        else:
-            self._dirty = True
-
-    def _ensure_built(self) -> None:
-        if self._dirty:
-            self._rebuild(diff=False)
-
-    def _rebuild(self, diff: bool) -> None:
-        """Re-attach a kernel for the current ruleset over the WM mirror.
-
-        Always builds a *fresh* recording conflict set and swaps it in:
-        generated kernels bind ``cs_insert``/``cs_delete`` at attach
-        time, so re-using the old set under a new runtime would leave
-        stale closures writing into it.  Replay edits are discarded
-        (replay is quiet); with ``diff=True`` the membership difference
-        against the old set is appended instead, keeping the
-        coordinator's incrementally-merged view exact.
-        """
-        pending = self.conflict_set.edits
-        old_keys = self.conflict_set.snapshot() if diff else None
-        cs = _RecordingConflictSet()
-        productions = list(self.productions.values())
-        rt = None
-        if productions:
-            kernel = shared_kernel(productions)
-            rt = kernel.attach(
-                cs, productions, (self.wmes[t] for t in sorted(self.wmes))
-            )
-        cs.edits = pending
-        if diff:
-            new_keys = cs.snapshot()
-            for key in sorted(old_keys - new_keys):
-                cs.edits.append((messages.DELETE, key[0], key[1]))
-            for key in sorted(new_keys - old_keys):
-                cs.edits.append((messages.INSERT_REF, cs.get(key)))
-        self.conflict_set = cs
-        self._rt = rt
-        self._dirty = False
-
-    # -- checkpoint / restore ----------------------------------------------
-
-    def checkpoint(self) -> tuple:
-        """Snapshot the *inputs* (productions + WM mirror), not the kernel.
-
-        Zero-copy like everything else in this backend: the containers
-        are copied (a checkpoint must freeze membership while the live
-        state keeps mutating) but the Production and WME objects inside
-        are shared by reference.  That sharing is load-bearing, not just
-        cheap: the engine removes WMEs by identity, so a restored
-        shard's instantiations must reference the coordinator's live WME
-        objects -- a pickle round-trip here (the process backend's
-        design) would resurface them as equal-but-distinct copies and
-        poison every firing that touches them.  The kernel itself is
-        never captured: it is a pure function of the ruleset shape, so
-        restore re-attaches from the shared registry and replays the
-        mirror.
-        """
-        return (dict(self.productions), dict(self.wmes))
-
-    def state_size(self) -> int:
-        return self._rt.state_size() if self._rt is not None else 0
-
-
-def rebuild_local_state(
-    checkpoint: Optional[tuple], journal: Iterable[Sequence]
-) -> LocalKernelState:
-    """Checkpoint + journal-tail replay, the recovery path's core.
-
-    Mirrors :func:`repro.parallel.worker.rebuild_state`: restore the
-    last checkpoint snapshot (or start empty), then re-apply the
-    journalled ops quietly -- edits and stat rows from replay are
-    discarded, because the coordinator already merged the originals
-    before the failure.
-    """
-    state = LocalKernelState()
-    if checkpoint is not None:
-        productions, wmes = checkpoint
-        state.productions = dict(productions)
-        state.wmes = dict(wmes)
-        if state.productions:
-            state._rebuild(diff=False)
-        state.conflict_set.drain()
-    ops = list(journal)
-    if ops:
-        state.apply_batch(ops)
-    return state
 
 
 class _Lane:
@@ -344,7 +89,7 @@ class _Lane:
         "abandoned",
     )
 
-    def __init__(self, index: int, home: int, state: LocalKernelState) -> None:
+    def __init__(self, index: int, home: int, state: ShardState) -> None:
         self.index = index
         self.home = home
         self.state = state
@@ -562,7 +307,7 @@ class LocalScheduler:
                 # State is torn mid-batch; start fresh exactly like the
                 # process worker does -- the coordinator restores from
                 # checkpoint + journal on seeing the error reply.
-                lane.state = LocalKernelState()
+                lane.state = ShardState()
         job.remaining -= 1
         if job.remaining == 0:
             if job.failed:
@@ -636,46 +381,26 @@ class LocalScheduler:
 
 
 class _LocalShard:
-    """Coordinator-side handle for one thread shard.
-
-    With a scheduler this fronts a :class:`_Lane`; with
-    ``scheduler=None`` it executes synchronously on the caller's thread
-    -- the demotion target after ``max_failures``, the thread analogue
-    of the executor's ``_InlineShard`` (and, like it, it never consults
-    the fault plan).
-    """
+    """Coordinator-side handle for one thread shard (a :class:`_Lane`)."""
 
     def __init__(
         self,
         index: int,
-        scheduler: Optional[LocalScheduler] = None,
+        scheduler: LocalScheduler,
         fault_plan: Optional[FaultPlan] = None,
-        state: Optional[LocalKernelState] = None,
     ) -> None:
         self.index = index
         self.scheduler = scheduler
         self.fault_plan = fault_plan
         self._dead: Optional[str] = None
-        self._replies: deque = deque()  # inline mode only
-        initial = state if state is not None else LocalKernelState()
-        if scheduler is not None:
-            self.lane: Optional[_Lane] = _Lane(
-                index, index % scheduler.workers, initial
-            )
-        else:
-            self.lane = None
-            self._state = initial
+        self.lane = self._new_lane(ShardState())
 
-    @property
-    def state(self) -> LocalKernelState:
-        return self.lane.state if self.lane is not None else self._state
+    def _new_lane(self, state: ShardState) -> _Lane:
+        return _Lane(self.index, self.index % self.scheduler.workers, state)
 
     # -- command surface ---------------------------------------------------
 
     def dispatch(self, ops: Sequence, seq: Optional[int] = None) -> None:
-        if self.scheduler is None:
-            self._dispatch_inline(ops)
-            return
         if self._dead is not None:
             return  # a dead process swallows writes too; collect() raises
         tasks: list[tuple] = []
@@ -714,15 +439,8 @@ class _LocalShard:
             # nothing mid-drain), and batches bigger than a grain still
             # go through the deques where workers and thieves share them.
             self.scheduler.fast_batches += 1
-            try:
-                edits, stat_rows = lane.state.apply_batch(ops)
-            except Exception as exc:  # noqa: BLE001 - mirrors worker loop
-                lane.state = LocalKernelState()
-                lane.replies.append(
-                    (messages.ERROR, repr(exc), traceback.format_exc())
-                )
-                return
-            lane.replies.append((messages.OK, edits, stat_rows))
+            lane.state, reply = _apply_or_error(lane.state, ops)
+            lane.replies.append(reply)
             return
         # One task per grain of ops: the work-stealing (and helping)
         # granularity without per-op task bookkeeping.
@@ -735,21 +453,7 @@ class _LocalShard:
         tasks.extend(op_tasks)
         self.scheduler.enqueue(lane, tasks)
 
-    def _dispatch_inline(self, ops: Sequence) -> None:
-        try:
-            edits, stat_rows = self._state.apply_batch(ops)
-        except Exception as exc:  # noqa: BLE001 - mirrors worker loop
-            self._state = LocalKernelState()
-            self._replies.append(
-                (messages.ERROR, repr(exc), traceback.format_exc())
-            )
-            return
-        self._replies.append((messages.OK, edits, stat_rows))
-
     def collect(self, deadline: Optional[float] = None):
-        if self.scheduler is None:
-            assert self._replies  # dispatch is synchronous in this mode
-            return self._replies.popleft()
         if self._dead is not None:
             raise ShardFailure(
                 self.index, self._dead, "shard state discarded by injected fault"
@@ -770,8 +474,6 @@ class _LocalShard:
 
     def checkpoint(self, deadline: Optional[float] = None) -> tuple:
         """Snapshot state; called at the flush barrier (lane drained)."""
-        if self.scheduler is None:
-            return self._state.checkpoint()
         lane = self.lane
         settled = self.scheduler.help_until(
             lane, lambda: lane.completed >= lane.published, deadline
@@ -782,17 +484,12 @@ class _LocalShard:
             )
         return lane.state.checkpoint()
 
-    def restore(self, checkpoint: Optional[bytes], journal: Sequence) -> int:
+    def restore(self, checkpoint: Optional[Checkpoint], journal: Sequence) -> int:
         """Rebuild from checkpoint + journal tail; returns ops replayed."""
-        state = rebuild_local_state(checkpoint, journal)
-        if self.scheduler is not None:
-            self._abandon_lane()
-            self.lane = _Lane(
-                self.index, self.index % self.scheduler.workers, state
-            )
-            self._dead = None
-        else:
-            self._state = state
+        state = rebuild_state(checkpoint, journal)
+        self._abandon_lane()
+        self.lane = self._new_lane(state)
+        self._dead = None
         return len(journal)
 
     def stop(self) -> None:
@@ -805,8 +502,6 @@ class _LocalShard:
 
     def _abandon_lane(self) -> None:
         lane = self.lane
-        if lane is None:
-            return
         lane.abandoned = True  # drain loops bail; sleep tasks unwind
         with lane.lock:
             lane.tasks.clear()

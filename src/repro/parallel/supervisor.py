@@ -3,12 +3,13 @@
 The paper's Section 3.1 argues state-saving beats re-derivation because
 maintaining match state incrementally (``c1``/``c2`` per change) is ~20x
 cheaper than recomputing it (``c3``).  Crash recovery is the same trade
-run in reverse: when a shard worker dies, its Rete state -- a
-deterministic function of the op stream it has applied -- is re-derived
-by replaying that stream into a fresh worker, and the cost of doing so
-*is* ``c3``, measured live (``benchmarks/bench_fault_recovery.py``).
-A periodic pickle checkpoint bounds the replay: recovery then pays one
-unpickle plus the journal tail instead of the whole history.
+run in reverse: when a shard dies, its match state -- a deterministic
+function of the op stream it has applied -- is re-derived by replaying
+that stream into a fresh shard, and the cost of doing so *is* ``c3``,
+measured live (``benchmarks/bench_fault_recovery.py``).  A periodic
+checkpoint bounds the replay: recovery then pays one kernel attach over
+the checkpointed working memory plus the journal tail instead of the
+whole history.
 
 :class:`ShardSupervisor` is the coordinator-side bookkeeping for that
 story.  It does no I/O itself -- the executor owns pipes and processes
@@ -17,7 +18,9 @@ story.  It does no I/O itself -- the executor owns pipes and processes
 * the per-shard **op journal**: every op batch a shard has successfully
   applied since its last checkpoint (truncated by checkpoints, and by
   ``reset`` ops, after which prior history is unreachable);
-* the per-shard **checkpoint blob** (pickled :class:`ShardState`);
+* the per-shard **checkpoint**: the shard's productions and WMEs, as
+  the coordinator's own objects (see
+  :func:`~repro.parallel.worker.resolve_checkpoint`);
 * per-shard **sequence numbers** -- the addresses fault injection keys
   on -- monotonic and never reused, so recovery cannot re-trigger the
   fault that killed a worker;
@@ -47,12 +50,12 @@ class SupervisorConfig:
     ``recovery_deadline``
         Deadline for restore/checkpoint round-trips during recovery.
     ``checkpoint_every``
-        Take a pickle checkpoint after this many applied batches
+        Take a checkpoint after this many applied batches
         (``None`` disables checkpointing; the journal then grows with
         the run and recovery is always a full replay).
     ``max_failures``
         Consecutive failures of one shard before it is demoted to an
-        in-process inline shard (graceful degradation: the run always
+        inline shard (graceful degradation: the run always
         completes).
     """
 
@@ -73,7 +76,8 @@ class SupervisorConfig:
 
 
 class ShardFailure(Exception):
-    """A shard worker crashed (EOF) or hung (collect deadline expired)."""
+    """A shard crashed (EOF, injected crash) or hung (collect deadline
+    expired)."""
 
     def __init__(self, shard: int, cause: str, detail: str = "") -> None:
         super().__init__(
@@ -88,10 +92,10 @@ class ShardFailure(Exception):
 class RecoveryEvent:
     """One completed recovery action, the unit of the fault audit trail.
 
-    ``action`` is ``"respawned"`` (a fresh worker process rebuilt by
-    replay) or ``"demoted"`` (the shard now runs inline in the
-    coordinator).  ``replay_seconds`` times the restore round-trip --
-    checkpoint unpickle plus journal replay -- and ``total_seconds``
+    ``action`` is ``"respawned"`` (a fresh shard rebuilt by replay) or
+    ``"demoted"`` (the shard now runs inline on the coordinator's
+    thread).  ``replay_seconds`` times the restore round-trip --
+    checkpoint restore plus journal replay -- and ``total_seconds``
     the whole outage as the coordinator saw it, detection to recovered
     reply.
     """
@@ -132,7 +136,7 @@ class ShardSupervisor:
         n = self.shard_count
         #: Ops applied since the last checkpoint (or ever), per shard.
         self.journals: list[list] = [[] for _ in range(n)]
-        self.checkpoints: list[Optional[bytes]] = [None] * n
+        self.checkpoints: list[Optional[tuple]] = [None] * n
         #: Applied batches since the last checkpoint, per shard.
         self.since_checkpoint: list[int] = [0] * n
         #: Consecutive failures, per shard (reset by any success).
@@ -191,8 +195,8 @@ class ShardSupervisor:
             self.since_checkpoint[shard] += 1
         self._restore_cache[shard] = None
 
-    def recovery_payload(self, shard: int) -> tuple[Optional[bytes], list]:
-        """What a replacement worker needs: (checkpoint blob, journal)."""
+    def recovery_payload(self, shard: int) -> tuple[Optional[tuple], list]:
+        """What a replacement shard needs: (checkpoint, journal)."""
         return self.checkpoints[shard], list(self.journals[shard])
 
     def restore_message_bytes(self, shard: int) -> bytes:
@@ -221,8 +225,8 @@ class ShardSupervisor:
             and self.since_checkpoint[shard] >= every
         )
 
-    def store_checkpoint(self, shard: int, blob: bytes, seconds: float) -> None:
-        self.checkpoints[shard] = blob
+    def store_checkpoint(self, shard: int, checkpoint: tuple, seconds: float) -> None:
+        self.checkpoints[shard] = checkpoint
         self.journals[shard] = []
         self.since_checkpoint[shard] = 0
         self._restore_cache[shard] = None
@@ -263,7 +267,8 @@ class ShardSupervisor:
             "degraded_shards": [i for i, d in enumerate(self.demoted) if d],
             "journal_ops": [len(j) for j in self.journals],
             "checkpointed_shards": [
-                i for i, blob in enumerate(self.checkpoints) if blob is not None
+                i for i, checkpoint in enumerate(self.checkpoints)
+                if checkpoint is not None
             ],
             "events": [event.snapshot() for event in self.events[-32:]],
         }

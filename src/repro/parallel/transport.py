@@ -1,120 +1,41 @@
-"""Pluggable coordinator <-> worker transports: pickle pipe or shared ring.
+"""Shard transports, and the one process wire: a pickled pipe.
 
-The executor talks to a shard worker through an *endpoint* with one
-small surface -- ``send``/``poll``/``recv``/``close`` plus
-``send_pickled`` for pre-serialised control messages -- so the choice
-of wire is invisible above this module:
+Two transports exist (:data:`TRANSPORTS`):
 
 ``pipe``
-    The baseline: whole command tuples pickled over a
-    ``multiprocessing.Pipe``.  One syscall pair and one pickle
-    round-trip per message.
-``ring``
-    The PSM-flavoured path: two :class:`~repro.parallel.ring.Ring`
-    SPSC shared-memory rings per shard (commands down, replies up).
-    Batch and OK frames are struct-packed against the process-wide
-    symbol table (:mod:`repro.parallel.codec`); dispatching a batch is
-    a buffer copy plus a counter store -- no syscall in steady state.
-    Everything the codec cannot pack (checkpoints, restores, errors)
-    rides the same rings as pickle frames, so the *protocol* is
-    transport-independent.
+    Each shard is a worker process (:func:`~repro.parallel.worker.shard_main`)
+    behind a ``multiprocessing.Pipe``; commands and replies are whole
+    pickled tuples, one syscall pair and one pickle round-trip per
+    message.  :class:`_ProcessShard` is the coordinator's end of it.
 ``local``
     Not a wire at all: shards run as threads in the coordinator's
     address space and a dispatch is an append to a shared deque (see
-    :mod:`repro.parallel.local`).  This module only names and resolves
-    it -- the executor branches before any endpoint is created, because
-    there is no process to connect.
-``auto``
-    ``ring`` when the platform supports ``multiprocessing.shared_memory``,
-    else ``pipe``.
+    :mod:`repro.parallel.local`).
 
-Even the ring keeps a ``Pipe`` alongside -- never for data, purely as a
-*liveness-and-doorbell channel*: a crashed worker closes its end, and
-both sides' blocking ring waits poll it so death surfaces as
-``EOFError`` exactly like the pipe transport, which is what keeps the
-supervisor's crash/hang taxonomy (and the chaos suite's ``pipe-drop``
-fault) meaningful across transports.  The same pipe doubles as the
-wakeup doorbell: an idle ring consumer spins briefly, publishes a
-``parked`` flag in the ring header, and blocks on the pipe; a producer
-that sees the flag after publishing rings it with one byte.  Hot
-streams therefore stay syscall-free while a cold dispatch costs one
-syscall and wakes the peer at kernel speed instead of a backoff sleep.
-
-The coordinator owns the symbol id space: batch frames carry intern
-deltas, each worker keeps a private mirror table grown only by those
-deltas, and a mirror encodes unknown symbols inline rather than ever
-allocating an id (see :mod:`repro.ops5.symbols`).
+Both run the same :class:`~repro.parallel.worker.ShardState` on the
+compiled kernel; only the dispatch cost differs.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Optional, Sequence
 
-from ..ops5.symbols import SYMBOLS, SymbolTable
-from . import codec, messages
-from .ring import DEFAULT_CAPACITY, Ring, RingStall
+from ..faults.plan import FaultPlan
+from . import messages
+from .supervisor import ShardFailure
+from .worker import shard_main
 
-__all__ = [
-    "TRANSPORTS",
-    "TransportStats",
-    "WorkerTransportSpec",
-    "ring_available",
-    "resolve_transport",
-    "create_endpoint",
-    "connect_worker",
-    "RingStall",
-]
+__all__ = ["TRANSPORTS", "TransportStats"]
 
-TRANSPORTS = ("auto", "ring", "pipe", "local")
-
-#: The one byte a ring producer sends on the liveness pipe to wake a
-#: parked consumer.  Nothing else ever writes data on that pipe, so a
-#: non-doorbell payload (or EOF) means the peer is gone.
-DOORBELL = b"!"
-
-#: Empty-ring yields before a consumer publishes ``parked`` and blocks.
-_PARK_SPIN = 4
-#: Bounded block while parked -- the re-check that makes a (practically
-#: impossible) lost doorbell a hiccup instead of a hang.
-_PARK_WAIT = 0.05
-
-_availability: Optional[bool] = None
-
-
-def ring_available() -> bool:
-    """Whether shared-memory rings work on this platform (cached probe)."""
-    global _availability
-    if _availability is None:
-        try:
-            ring = Ring.create(4096)
-            ring.write(b"probe")
-            ok = ring.read_message(timeout=1.0) == b"probe"
-            ring.close()
-            _availability = ok
-        except Exception:
-            _availability = False
-    return _availability
-
-
-def resolve_transport(kind: str) -> str:
-    """Validate *kind* and collapse ``auto`` to a concrete transport."""
-    if kind not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {kind!r}; expected one of {', '.join(TRANSPORTS)}"
-        )
-    if kind == "auto":
-        return "ring" if ring_available() else "pipe"
-    if kind == "ring" and not ring_available():
-        raise ValueError("ring transport requested but shared memory is unavailable")
-    return kind
+TRANSPORTS = ("pipe", "local")
 
 
 @dataclass
 class TransportStats:
-    """Coordinator-side wire accounting for one endpoint (or a rollup)."""
+    """Coordinator-side wire accounting for one pipe (or a rollup)."""
 
     frames_sent: int = 0
     bytes_sent: int = 0
@@ -122,11 +43,6 @@ class TransportStats:
     bytes_received: int = 0
     send_seconds: float = 0.0
     recv_seconds: float = 0.0
-    #: Messages that fell back to a pickle frame on the ring (codec
-    #: could not pack them); always 0 on the pipe transport.
-    pickle_fallbacks: int = 0
-    #: Producer full-ring stall episodes, both directions.
-    ring_stalls: int = 0
 
     def absorb(self, other: "TransportStats") -> None:
         self.frames_sent += other.frames_sent
@@ -135,420 +51,116 @@ class TransportStats:
         self.bytes_received += other.bytes_received
         self.send_seconds += other.send_seconds
         self.recv_seconds += other.recv_seconds
-        self.pickle_fallbacks += other.pickle_fallbacks
-        self.ring_stalls += other.ring_stalls
 
     def snapshot(self) -> dict:
-        return {
-            "frames_sent": self.frames_sent,
-            "bytes_sent": self.bytes_sent,
-            "frames_received": self.frames_received,
-            "bytes_received": self.bytes_received,
-            "send_seconds": self.send_seconds,
-            "recv_seconds": self.recv_seconds,
-            "pickle_fallbacks": self.pickle_fallbacks,
-            "ring_stalls": self.ring_stalls,
-        }
+        return asdict(self)
 
 
-@dataclass
-class WorkerTransportSpec:
-    """What a worker process needs to connect (picklable process arg)."""
+class _ProcessShard:
+    """Coordinator-side handle for one worker process.
 
-    kind: str
-    conn: Any  # the child end of the liveness/data Pipe
-    c2w_name: Optional[str] = None  # command ring (coordinator -> worker)
-    w2c_name: Optional[str] = None  # reply ring (worker -> coordinator)
-
-
-# ---------------------------------------------------------------------------
-# Coordinator-side endpoints
-# ---------------------------------------------------------------------------
-
-
-class PipeEndpoint:
-    """The baseline: pickled tuples over a ``multiprocessing.Pipe``.
-
-    Pickling happens here (``send_bytes``) rather than in ``conn.send``
-    so byte counts are observable and pre-pickled control messages can
-    be shipped without re-serialising (``send_pickled``).
+    All pipe I/O funnels through :meth:`_send_bytes` and :meth:`collect`,
+    which translate the three ways a worker can disappear -- broken pipe
+    on send, EOF on receive, silence past the deadline -- into a
+    :class:`ShardFailure` naming the shard and the cause, so the
+    executor's recovery path sees one exception type everywhere.
+    Pickling happens here rather than in ``conn.send`` so byte counts
+    are observable and pre-pickled restore messages ship as they are.
     """
 
-    kind = "pipe"
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
+    def __init__(self, ctx, index: int, fault_plan: Optional[FaultPlan] = None) -> None:
+        self.index = index
         self.stats = TransportStats()
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=shard_main,
+            args=(child, index, fault_plan),
+            daemon=True,
+            name=f"repro-shard-{index}",
+        )
+        self.process.start()
+        child.close()
 
-    def send(self, message: tuple) -> None:
-        self.send_pickled(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def send_pickled(self, payload: bytes) -> None:
+    def _send_bytes(self, payload: bytes) -> None:
         start = time.perf_counter()
-        self.conn.send_bytes(payload)
+        try:
+            self.conn.send_bytes(payload)
+        except (EOFError, OSError):
+            raise ShardFailure(self.index, "crash", "pipe broken on send") from None
         self.stats.send_seconds += time.perf_counter() - start
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(payload)
 
-    def poll(self, timeout: Optional[float]) -> bool:
-        return self.conn.poll(timeout)
+    def _send(self, message: tuple) -> None:
+        self._send_bytes(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
-    def recv(self) -> tuple:
-        start = time.perf_counter()
-        payload = self.conn.recv_bytes()
+    def dispatch(self, ops: Sequence[Sequence[Any]], seq: Optional[int] = None) -> None:
+        self._send((messages.BATCH, ops, seq))
+
+    def collect(self, deadline: Optional[float] = None) -> tuple:
+        """Receive one reply; *deadline* seconds of silence is a hang."""
+        try:
+            if deadline is not None and not self.conn.poll(deadline):
+                raise ShardFailure(
+                    self.index, "hang", f"no reply within {deadline:g}s"
+                )
+            start = time.perf_counter()
+            payload = self.conn.recv_bytes()
+        except (EOFError, OSError):
+            raise ShardFailure(self.index, "crash", "pipe reached EOF") from None
         message = pickle.loads(payload)
         self.stats.recv_seconds += time.perf_counter() - start
         self.stats.frames_received += 1
         self.stats.bytes_received += len(payload)
         return message
 
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    def checkpoint(self, deadline: Optional[float] = None) -> Optional[tuple]:
+        """Round-trip a checkpoint request; ``None`` if the worker declined."""
+        self._send((messages.CHECKPOINT,))
+        reply = self.collect(deadline)
+        if reply[0] != messages.CHECKPOINT:
+            return None
+        return reply[1]
 
-    def stats_snapshot(self) -> TransportStats:
-        return TransportStats(**self.stats.snapshot())
+    def restore_pickled(self, payload: bytes, deadline: Optional[float] = None) -> int:
+        """Rebuild the worker's state from a pre-pickled restore command
+        (see ``ShardSupervisor.restore_message_bytes``); returns the
+        replayed op count."""
+        self._send_bytes(payload)
+        reply = self.collect(deadline)
+        if reply[0] != messages.RESTORED:
+            detail = reply[1] if len(reply) > 1 else repr(reply)
+            raise ShardFailure(self.index, "crash", f"restore failed: {detail}")
+        return reply[1]
 
-    def end_epoch(self) -> None:
-        """Flush-boundary hook (the ring endpoint drops its op cache)."""
+    def stop(self) -> None:
+        """Graceful stop, escalating to SIGTERM then SIGKILL.
 
-    def worker_spec(self, child_conn) -> WorkerTransportSpec:
-        return WorkerTransportSpec("pipe", child_conn)
-
-
-class RingEndpoint:
-    """Coordinator side of a shard's ring pair.
-
-    Owns both shared-memory segments (creates and unlinks them); the
-    worker attaches by name.  All data flows over the rings; ``conn``
-    is the liveness pipe -- ``poll``/``recv`` watch it so worker death
-    surfaces as ``EOFError`` mid-wait instead of a silent stall.
-    """
-
-    kind = "ring"
-
-    def __init__(self, conn, capacity: int = DEFAULT_CAPACITY,
-                 send_timeout: Optional[float] = 30.0) -> None:
-        self.conn = conn
-        self.out = Ring.create(capacity)  # commands, coordinator -> worker
-        self.inn = Ring.create(capacity)  # replies, worker -> coordinator
-        self.table = SYMBOLS
-        self.watermark = 0
-        self.send_timeout = send_timeout
-        self.stats = TransportStats()
-        #: Per-flush-epoch WME op byte cache (timetag -> encoded op);
-        #: dropped at each flush boundary (``end_epoch``).
-        self.op_cache: dict[int, bytes] = {}
-        #: Replies drained out of order (see ``_send_waiter``), decoded,
-        #: waiting for ``recv`` -- FIFO, so reply order is preserved.
-        self._rx: list[tuple] = []
-        #: Latched when the liveness pipe delivers EOF or junk; every
-        #: subsequent wait surfaces it as ``EOFError``.
-        self._dead = False
-
-    def _pump_conn(self, timeout: float = 0.0) -> bool:
-        """Drain doorbells off the liveness pipe; True means death."""
-        if self._dead:
-            return True
-        conn = self.conn
-        while conn.poll(timeout):
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                self._dead = True
-                return True
-            if payload != DOORBELL:
-                self._dead = True
-                return True
-            timeout = 0
-        return False
-
-    def _ring_doorbell(self) -> None:
-        """Wake the worker if it parked (one syscall, cold path only)."""
-        out = self.out
-        if out.consumer_parked():
-            out.set_parked(False)
-            try:
-                self.conn.send_bytes(DOORBELL)
-            except (OSError, ValueError):
-                pass  # worker gone; the reply path will surface it
-
-    def send(self, message: tuple) -> None:
-        start = time.perf_counter()
-        frame: Optional[bytes] = None
-        if message[0] == messages.BATCH:
-            try:
-                frame, self.watermark = codec.encode_batch(
-                    message[1],
-                    message[2] if len(message) > 2 else None,
-                    self.table,
-                    self.watermark,
-                    self.op_cache,
-                )
-            except Exception:
-                frame = None  # fall through to the pickle frame
-        if frame is None:
-            if message[0] == messages.BATCH:
-                self.stats.pickle_fallbacks += 1
-            frame = bytes([codec.FRAME_PICKLE]) + pickle.dumps(
-                message, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        self.out.write(frame, timeout=self.send_timeout, waiter=self._send_waiter)
-        self._ring_doorbell()
-        self.stats.send_seconds += time.perf_counter() - start
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
-
-    def send_pickled(self, payload: bytes) -> None:
-        start = time.perf_counter()
-        self.out.write(
-            bytes([codec.FRAME_PICKLE]) + payload,
-            timeout=self.send_timeout,
-            waiter=self._send_waiter,
-        )
-        self._ring_doorbell()
-        self.stats.send_seconds += time.perf_counter() - start
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(payload) + 1
-
-    def poll(self, timeout: Optional[float]) -> bool:
-        """A reply frame is ready -- or the liveness pipe says the
-        worker died (the subsequent ``recv`` surfaces that).  Spins
-        briefly, then parks on the pipe and lets the worker's doorbell
-        wake it, so an idle coordinator costs no CPU."""
-        if self._rx:
-            return True
-        inn = self.inn
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spins = 0
-        while True:
-            if inn.available() >= 4:
-                return True
-            if self._pump_conn():
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            spins += 1
-            if spins <= _PARK_SPIN:
-                time.sleep(0)
-                continue
-            inn.set_parked(True)
-            if inn.available() >= 4:
-                inn.set_parked(False)
-                return True
-            wait = _PARK_WAIT
-            if deadline is not None:
-                wait = min(wait, max(0.0, deadline - time.monotonic()))
-            news = self._pump_conn(wait)
-            inn.set_parked(False)
-            if news:
-                return True
-
-    def _waiter(self) -> None:
-        """Abort a blocking ring read when the worker is gone."""
-        if self._pump_conn():
-            raise EOFError("worker liveness pipe closed")
-
-    def _send_waiter(self) -> None:
-        """Break the mutual-stall case while the command ring is full.
-
-        With batched in-flight dispatch both rings can fill at once: the
-        worker blocks publishing a reply, so it stops draining commands,
-        so the coordinator blocks publishing a command.  Draining ready
-        replies into the ``_rx`` queue while we wait unwedges the worker
-        without disturbing reply order.
+        A worker wedged in a way SIGTERM cannot reach (e.g. SIGSTOPped)
+        still gets reaped: SIGKILL acts even on stopped processes.  The
+        pipe is closed on every path, including when the sends or joins
+        themselves raise.
         """
-        self._waiter()
-        while self.inn.available() >= 4:
-            self._rx.append(self._read_frame())
-
-    def _read_frame(self) -> tuple:
-        frame = self.inn.read_message(timeout=self.send_timeout, waiter=self._waiter)
-        if frame[0] == codec.FRAME_OK:
-            edits, stat_rows = codec.decode_reply(frame, self.table)
-            message = (messages.OK, edits, stat_rows)
-        else:
-            message = pickle.loads(frame[1:])
-        self.stats.frames_received += 1
-        self.stats.bytes_received += len(frame)
-        return message
-
-    def recv(self) -> tuple:
-        if self._rx:
-            return self._rx.pop(0)
-        if self.inn.available() < 4 and self._pump_conn():
-            # Death notice with no reply in flight: surface it now.
-            raise EOFError("worker liveness pipe closed")
-        start = time.perf_counter()
-        message = self._read_frame()
-        self.stats.recv_seconds += time.perf_counter() - start
-        return message
-
-    def close(self) -> None:
-        self.stats.ring_stalls = self.out.stalls() + self.inn.stalls()
         try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self.out.close()
-        self.inn.close()
-
-    def stats_snapshot(self) -> TransportStats:
-        """Current stats including live ring stall counters."""
-        snap = TransportStats(**self.stats.snapshot())
-        try:
-            snap.ring_stalls = self.out.stalls() + self.inn.stalls()
-        except (TypeError, ValueError):  # pragma: no cover - closed rings
-            pass
-        return snap
-
-    def end_epoch(self) -> None:
-        """Drop the per-flush WME op byte cache (timetags can restart)."""
-        self.op_cache.clear()
-
-    def worker_spec(self, child_conn) -> WorkerTransportSpec:
-        return WorkerTransportSpec("ring", child_conn, self.out.name, self.inn.name)
-
-
-# ---------------------------------------------------------------------------
-# Worker-side endpoints
-# ---------------------------------------------------------------------------
-
-
-class PipeWorkerEndpoint:
-    """Worker side of the pipe transport (plain Connection semantics)."""
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-
-    def recv(self) -> tuple:
-        return self.conn.recv()  # raises EOFError when coordinator dies
-
-    def send(self, message: tuple) -> None:
-        self.conn.send(message)
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-class PeerGone(EOFError):
-    """Raised by the worker's ring waiter when the coordinator died."""
-
-
-class RingWorkerEndpoint:
-    """Worker side of a shard's ring pair (attaches by segment name)."""
-
-    def __init__(self, conn, c2w_name: str, w2c_name: str) -> None:
-        self.conn = conn
-        self.inn = Ring.attach(c2w_name)
-        self.out = Ring.attach(w2c_name)
-        #: Prefix-consistent mirror of the coordinator's symbol table,
-        #: grown only by batch-frame deltas.  Never allocates ids.
-        self.mirror = SymbolTable()
-
-    def _pump_conn(self, timeout: float = 0.0) -> bool:
-        """Drain doorbells; True means the coordinator is gone."""
-        conn = self.conn
-        while conn.poll(timeout):
             try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                return True
-            if payload != DOORBELL:
-                return True
-            timeout = 0
-        return False
+                self._send((messages.STOP,))
+            except ShardFailure:
+                pass
+            self.process.join(timeout=1.0)
+        finally:
+            self.kill()
 
-    def _waiter(self) -> None:
-        if self._pump_conn():
-            raise PeerGone("coordinator closed the liveness pipe")
-
-    def _wait_for_command(self) -> None:
-        """Idle-worker wait: yield briefly, then park on the pipe until
-        the coordinator's doorbell (or death) wakes us."""
-        inn = self.inn
-        spins = 0
-        while not inn.has_data():
-            spins += 1
-            if spins <= _PARK_SPIN:
-                time.sleep(0)
-                continue
-            inn.set_parked(True)
-            if inn.has_data():
-                inn.set_parked(False)
-                return
-            gone = self._pump_conn(_PARK_WAIT)
-            inn.set_parked(False)
-            if gone:
-                raise PeerGone("coordinator closed the liveness pipe")
-
-    def recv(self) -> tuple:
+    def kill(self) -> None:
+        """Reap the worker without ceremony (recovery path)."""
         try:
-            if not self.inn.has_data():
-                self._wait_for_command()
-            frame = self.inn.read_message(waiter=self._waiter)
-        except PeerGone:
-            raise EOFError from None
-        if frame[0] == codec.FRAME_BATCH:
-            ops, seq = codec.decode_batch(frame, self.mirror)
-            return (messages.BATCH, ops, seq)
-        return pickle.loads(frame[1:])
-
-    def send(self, message: tuple) -> None:
-        frame: Optional[bytes] = None
-        if message[0] == messages.OK:
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout=1.0)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=5.0)
+        finally:
             try:
-                frame = codec.encode_reply(message[1], message[2], self.mirror)
-            except Exception:
-                frame = None
-        if frame is None:
-            frame = bytes([codec.FRAME_PICKLE]) + pickle.dumps(
-                message, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        try:
-            self.out.write(frame, waiter=self._waiter)
-        except PeerGone:
-            raise EOFError from None
-        out = self.out
-        if out.consumer_parked():
-            out.set_parked(False)
-            try:
-                self.conn.send_bytes(DOORBELL)
-            except (OSError, ValueError):
-                raise EOFError from None
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self.inn.close()
-        self.out.close()
-
-
-# ---------------------------------------------------------------------------
-# Factories
-# ---------------------------------------------------------------------------
-
-
-def create_endpoint(kind: str, conn, send_timeout: Optional[float] = 30.0):
-    """Coordinator-side endpoint for a resolved transport *kind*."""
-    if kind == "ring":
-        return RingEndpoint(conn, send_timeout=send_timeout)
-    if kind == "pipe":
-        return PipeEndpoint(conn)
-    raise ValueError(f"unresolved transport kind {kind!r}")
-
-
-def connect_worker(spec: WorkerTransportSpec):
-    """Worker-side endpoint from the spec the process was started with."""
-    if spec.kind == "ring":
-        return RingWorkerEndpoint(spec.conn, spec.c2w_name, spec.w2c_name)
-    if spec.kind == "pipe":
-        return PipeWorkerEndpoint(spec.conn)
-    raise ValueError(f"unresolved transport kind {spec.kind!r}")
+                self.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass

@@ -169,14 +169,14 @@ def validate_parallel(
     workers: int = 2,
     strategy: str = "lex",
     max_cycles: int = 200,
-    transport: str = "auto",
+    transport: str = "pipe",
 ) -> DifferentialReport:
     """Serial Rete vs. the live parallel executor on one program.
 
     The one-stop check the CLI and benchmark use before trusting a
     parallel run's timings.  *transport* picks the executor's shard
-    transport, so the same differential harness vouches for the
-    shared-memory ring path as for pickled pipes.
+    transport, so the same differential harness vouches for thread
+    shards as for worker processes.
     """
     from ..rete.network import ReteNetwork
     from .executor import ParallelMatcher

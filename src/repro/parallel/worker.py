@@ -1,76 +1,79 @@
-"""The shard worker: one process owning one partition of the network.
+"""The shard: one partition of the ruleset on the compiled kernel.
 
-Each worker compiles its partition's productions into a private
-:class:`~repro.rete.network.ReteNetwork` and applies the op batches the
-coordinator streams to it.  Because every node memory in that network
-belongs to this worker alone (see :mod:`repro.parallel.partition`),
-activations of one node are naturally serialised on their memory -- the
-executor's realisation of the paper's per-node locks -- while nodes in
-different shards run truly concurrently, in different processes.
+Every shard, whatever runs it, holds one :class:`ShardState`: the
+productions assigned to it, its view of working memory, and a
+:class:`~repro.kernel.runtime.KernelRuntime` attached to the shared,
+per-ruleset-shape generated kernel (:mod:`repro.kernel`).  Three things
+run a state:
 
-The worker reports its work back as a *conflict-set edit stream* (the
-same currency Rete terminals trade in) plus per-change measurement
-rows, both pure-primitive tuples (see :mod:`repro.parallel.messages`).
+* a **worker process** (:func:`shard_main`, the ``pipe`` transport),
+  which receives op batches over a ``multiprocessing`` pipe;
+* a **thread shard** (:mod:`repro.parallel.local`, the ``local``
+  transport), which shares the coordinator's address space;
+* an **inline shard** (:class:`_InlineShard`), which applies batches
+  synchronously on the caller's thread -- the ``workers=0``
+  configuration and the demotion target after repeated failures.
 
-Recovery support (see :mod:`repro.parallel.supervisor`): a worker can
-``checkpoint`` -- pickle its whole :class:`ShardState`, match state and
-all -- and a *replacement* worker can ``restore`` from a checkpoint
-blob plus a journal of ops to replay.  Replay is quiet: the edits it
-produces were already merged by the coordinator before the failure, so
-they are drained and discarded.  Both rest on the paper's Section 3.1
+A shard reports its work as a *conflict-set edit stream* -- the
+currency Rete terminals trade in -- plus per-change measurement rows
+(see :mod:`repro.parallel.messages`).  Inserts are recorded as live
+:class:`~repro.ops5.production.Instantiation` objects; only the worker
+process turns them into ``("i", name, timetags, bindings)`` rows, right
+before they cross the pipe.
+
+Recovery support (see :mod:`repro.parallel.supervisor`): a shard can
+``checkpoint`` (the names of its productions and the timetags of its
+WMEs) and a replacement can be rebuilt from a resolved checkpoint plus
+a journal of ops to replay (:func:`rebuild_state`).  Replay is quiet:
+the edits it produces were merged by the coordinator before the
+failure, so they are discarded.  Both rest on the paper's Section 3.1
 observation that match state is a deterministic function of the op
 stream -- which is also what makes the rebuilt shard bit-identical.
 
-Workers consult an optional :class:`~repro.faults.FaultPlan` before
-serving each batch, keyed by the coordinator-assigned sequence number,
-so chaos tests can schedule a crash, hang, pipe drop, or slow-down at
-an exact, reproducible point in the run.
+Worker processes consult an optional :class:`~repro.faults.FaultPlan`
+before serving each batch, keyed by the coordinator-assigned sequence
+number, so chaos tests can schedule a crash, hang, pipe drop, or
+slow-down at an exact, reproducible point in the run.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
-from typing import Any, Optional, Sequence
+from collections import deque
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..faults.plan import CRASH, HANG, HANG_FOREVER, PIPE_DROP, SLOW, FaultPlan
+from ..kernel.runtime import KernelRuntime
+from ..kernel.shared import shared_kernel
 from ..ops5.conflict import ConflictSet
-from ..ops5.production import Instantiation
+from ..ops5.production import Production
 from ..ops5.wme import WME
 from . import messages
 from .messages import Edit, StatRow
 
 
 class RecordingConflictSet(ConflictSet):
-    """A conflict set that journals every edit for later transfer.
+    """A conflict set that journals every edit for the coordinator.
 
-    Injected into the shard's network, it turns terminal-node activity
-    into the wire-format edit stream while keeping full local conflict
-    set semantics (duplicate-insert detection still applies per shard).
+    Inserts are recorded as ``("I", instantiation)``, deletes as
+    ``("d", name, timetags)``.  ``delete_key`` is the override point
+    (generated kernels bind it directly as ``cs_delete``); ``delete``
+    funnels through it, so nothing records twice.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.edits: list[Edit] = []
 
-    def insert(self, instantiation: Instantiation) -> None:
-        super().insert(instantiation)
-        self.edits.append(
-            (
-                messages.INSERT,
-                instantiation.production.name,
-                instantiation.timetags,
-                dict(instantiation.bindings),
-            )
-        )
+    def insert(self, inst) -> None:
+        super().insert(inst)
+        self.edits.append((messages.INSERT_REF, inst))
 
-    def delete(self, instantiation: Instantiation) -> None:
-        super().delete(instantiation)
-        self.edits.append(
-            (messages.DELETE, instantiation.production.name, instantiation.timetags)
-        )
+    def delete_key(self, key) -> None:
+        super().delete_key(key)
+        self.edits.append((messages.DELETE, key[0], key[1]))
 
     def drain(self) -> list[Edit]:
         edits, self.edits = self.edits, []
@@ -78,102 +81,272 @@ class RecordingConflictSet(ConflictSet):
 
 
 class ShardState:
-    """The in-process core of a worker (also usable without a process).
+    """One shard's match state: a compiled kernel over its rule slice.
 
-    Keeping the op-application logic process-free makes it unit-testable
-    and lets the executor fall back to an inline shard when processes
-    are unavailable (``workers=0``) -- or when a shard is *demoted*
-    after repeated failures.  The whole object pickles (nothing in the
-    network holds closures or OS resources), which is what makes the
-    supervisor's checkpoints a pure state snapshot rather than a
-    recompilation recipe.
+    Mirrors :class:`~repro.kernel.matcher.CompiledMatcher`'s rebuild
+    policy: production edits while WM is empty only mark the state dirty
+    (one compile per final ruleset shape, so loading N productions does
+    not pollute the process-wide kernel cache with N-1 prefix shapes);
+    once WMEs exist an edit rebuilds immediately and emits the
+    conflict-set *diff* as edits, because the coordinator incrementally
+    maintains its merged view.
     """
 
     def __init__(self) -> None:
-        self._fresh()
-
-    def _fresh(self) -> None:
-        from ..rete.network import ReteNetwork  # deferred heavy import
-
-        self.conflict_set = RecordingConflictSet()
-        self.network = ReteNetwork(conflict_set=self.conflict_set)
+        self.productions: dict[str, Production] = {}
         self.wmes: dict[int, WME] = {}
+        self.conflict_set = RecordingConflictSet()
+        self._rt: Optional[KernelRuntime] = None
+        self._dirty = False
 
-    def apply_batch(self, ops: Sequence[Sequence[Any]]) -> tuple[list[Edit], list[StatRow]]:
-        """Apply *ops* in order; return (edits, per-WME-op stat rows).
+    # -- op application ----------------------------------------------------
+
+    def apply_op(self, op: Sequence, wme_ordinal: int) -> Optional[StatRow]:
+        """Apply one batch op; return a stats row for WME ops, else None."""
+        tag = op[0]
+        if tag == messages.ADD_WME:
+            return self._add_wme(op[1], wme_ordinal)
+        if tag == messages.REMOVE_WME:
+            return self._remove_wme(op[1], wme_ordinal)
+        if tag == messages.ADD_PRODUCTION:
+            production = op[1]
+            if production.name in self.productions:
+                raise ValueError(f"production {production.name!r} already compiled")
+            self.productions[production.name] = production
+            self._ruleset_edit()
+            return None
+        if tag == messages.REMOVE_PRODUCTION:
+            del self.productions[op[1]]
+            self._ruleset_edit()
+            return None
+        if tag == messages.RESET:
+            self.__init__()
+            return None
+        raise ValueError(f"unknown op tag {tag!r}")
+
+    def apply_batch(self, ops: Iterable[Sequence]) -> tuple[list[Edit], list[StatRow]]:
+        """Apply *ops* in order; return ``(edits, stat_rows)``.
 
         Stat rows are indexed by WME-op *ordinal* within the batch (not
         the raw op position): the coordinator's change map counts only
         WME ops, since production ops belong to no working-memory change.
         """
         stat_rows: list[StatRow] = []
-        wme_ordinal = 0
+        ordinal = 0
         for op in ops:
-            tag = op[0]
-            if tag == messages.ADD_WME or tag == messages.ADD_WME_REF:
-                # ADD_WME_REF is the local backend's zero-copy form; it
-                # lands here only via journal replay after a demotion or
-                # a harness feeding one journal to both shard kinds.
-                wme = op[1] if tag == messages.ADD_WME_REF else messages.decode_wme(op)
-                self.wmes[wme.timetag] = wme
-                self.network.add_wme(wme)
-                stat_rows.append(self._stat_row(wme_ordinal))
-                wme_ordinal += 1
-            elif tag == messages.REMOVE_WME:
-                wme = self.wmes.pop(op[1])
-                self.network.remove_wme(wme)
-                stat_rows.append(self._stat_row(wme_ordinal))
-                wme_ordinal += 1
-            elif tag == messages.ADD_PRODUCTION:
-                self.network.add_production(op[1])
-            elif tag == messages.REMOVE_PRODUCTION:
-                self.network.remove_production(op[1])
-            elif tag == messages.RESET:
-                self._fresh()
-            else:
-                raise ValueError(f"unknown op {tag!r}")
+            row = self.apply_op(op, ordinal)
+            if row is not None:
+                stat_rows.append(row)
+                ordinal += 1
         return self.conflict_set.drain(), stat_rows
 
-    def checkpoint(self) -> bytes:
-        """Pickle the complete match state (network, conflict set, WMEs).
-
-        Taken at batch boundaries only, when the recording conflict
-        set's edit journal is empty -- a checkpoint captures *state*,
-        never undelivered output.
-        """
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _stat_row(self, op_index: int) -> StatRow:
-        record = self.network.stats.changes[-1]
+    def _add_wme(self, wme: WME, ordinal: int) -> StatRow:
+        if self._dirty:
+            self._rebuild(diff=False)
+        self.wmes[wme.timetag] = wme
+        rt = self._rt
+        if rt is None:
+            return (ordinal, 0, 0, 0, 0)
+        stores = rt.by_class.get(wme.cls)
+        if not stores:
+            return (ordinal, 0, 0, 0, 0)
+        counters = rt.counters
+        b0, b1, b2 = counters
+        affected: set[str] = set()
+        for store in stores:
+            predicate = store.predicate
+            if predicate is None or predicate(wme):
+                store.insert(wme)
+                affected |= store.production_names
+                for fn in store.add_subs:
+                    fn(wme)
         return (
-            op_index,
-            record.affected_productions,
-            record.node_activations,
-            record.comparisons,
-            record.tokens_built,
+            ordinal,
+            len(affected),
+            counters[0] - b0,
+            counters[1] - b1,
+            counters[2] - b2,
         )
+
+    def _remove_wme(self, timetag: int, ordinal: int) -> StatRow:
+        if self._dirty:
+            self._rebuild(diff=False)
+        wme = self.wmes.pop(timetag)
+        rt = self._rt
+        if rt is None:
+            return (ordinal, 0, 0, 0, 0)
+        counters = rt.counters
+        base = tuple(counters)
+        affected: set[str] = set()
+        hit = [s for s in rt.by_class.get(wme.cls, ()) if timetag in s.rows]
+        # Two-phase, like CompiledMatcher: retraction subscribers run
+        # while the columns still hold the dying WME, then rows drop.
+        for store in hit:
+            affected |= store.production_names
+            for fn in store.del_subs:
+                fn(wme)
+        for store in hit:
+            store.remove(wme)
+        return (
+            ordinal,
+            len(affected),
+            counters[0] - base[0],
+            counters[1] - base[1],
+            counters[2] - base[2],
+        )
+
+    # -- (re)compilation ---------------------------------------------------
+
+    def _ruleset_edit(self) -> None:
+        if self.wmes:
+            self._rebuild(diff=True)
+        else:
+            self._dirty = True
+
+    def _rebuild(self, diff: bool) -> None:
+        """Re-attach a kernel for the current ruleset over the WM view.
+
+        Always builds a *fresh* recording conflict set and swaps it in:
+        generated kernels bind ``cs_insert``/``cs_delete`` at attach
+        time, so re-using the old set under a new runtime would leave
+        stale closures writing into it.  Replay edits are discarded
+        (replay is quiet); with ``diff=True`` the membership difference
+        against the old set is appended instead, keeping the
+        coordinator's incrementally-merged view exact.
+        """
+        pending = self.conflict_set.edits
+        old_keys = self.conflict_set.snapshot() if diff else None
+        cs = RecordingConflictSet()
+        productions = list(self.productions.values())
+        rt = None
+        if productions:
+            kernel = shared_kernel(productions)
+            rt = kernel.attach(
+                cs, productions, (self.wmes[t] for t in sorted(self.wmes))
+            )
+        cs.edits = pending
+        if diff:
+            new_keys = cs.snapshot()
+            for key in sorted(old_keys - new_keys):
+                cs.edits.append((messages.DELETE, key[0], key[1]))
+            for key in sorted(new_keys - old_keys):
+                cs.edits.append((messages.INSERT_REF, cs.get(key)))
+        self.conflict_set = cs
+        self._rt = rt
+        self._dirty = False
+
+    # -- checkpoint / restore ----------------------------------------------
+
+    def checkpoint(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The shard's *inputs* by name: production names and timetags.
+
+        Taken at batch boundaries only, when the edit journal is empty
+        -- a checkpoint captures state, never undelivered output.  The
+        kernel itself is never captured: it is a pure function of the
+        ruleset shape, so a restore re-attaches from the shared registry
+        and replays the WM view.
+
+        Names rather than objects, because the engine removes WMEs by
+        identity: a restored shard's instantiations must reference the
+        coordinator's live WME and Production objects, and a pickled
+        copy from a worker process would resurface them as
+        equal-but-distinct objects.  The coordinator resolves the names
+        against its own maps (:func:`resolve_checkpoint`) when the
+        checkpoint arrives at the barrier.
+        """
+        return tuple(self.productions), tuple(self.wmes)
+
+
+#: A resolved checkpoint: the shard's productions (in placement order)
+#: and its WMEs by timetag -- the coordinator's own objects.
+Checkpoint = tuple[tuple[Production, ...], dict[int, WME]]
+
+
+def resolve_checkpoint(
+    raw: tuple[Sequence[str], Sequence[int]],
+    productions: Mapping[str, Production],
+    wmes: Mapping[int, WME],
+) -> Checkpoint:
+    """Turn a shard's ``(names, timetags)`` checkpoint into live objects."""
+    names, timetags = raw
+    return (
+        tuple(productions[name] for name in names),
+        {timetag: wmes[timetag] for timetag in timetags},
+    )
 
 
 def rebuild_state(
-    checkpoint: Optional[bytes], journal: Sequence[Sequence[Any]]
+    checkpoint: Optional[Checkpoint], journal: Iterable[Sequence]
 ) -> ShardState:
-    """Reconstruct a shard's state: unpickle + quiet journal replay.
+    """Checkpoint + journal-tail replay, the recovery path's core.
 
     This is the paper's ``c3`` (state re-derivation) measured live: a
-    fresh state replays the whole journal; a checkpointed one unpickles
-    and replays only the tail.  Replay output (edits, stat rows) is
-    discarded -- the coordinator merged it before the failure.
+    fresh state replays the whole journal; a checkpointed one attaches
+    the kernel over the checkpointed WM view and replays only the tail.
+    Replay output (edits, stat rows) is discarded -- the coordinator
+    merged it before the failure.
     """
+    state = ShardState()
     if checkpoint is not None:
-        state = pickle.loads(checkpoint)
-        # Indexed join buckets are keyed by process-local symbol intern
-        # ids; rekey them against this process's table before replay.
-        state.network.rebuild_join_indexes()
-    else:
-        state = ShardState()
-    if journal:
-        state.apply_batch(list(journal))
+        productions, wmes = checkpoint
+        state.productions = {p.name: p for p in productions}
+        state.wmes = dict(wmes)
+        if state.productions:
+            state._rebuild(diff=False)
+    state.apply_batch(journal)
     return state
+
+
+def _apply_or_error(state: ShardState, ops: Sequence) -> tuple[ShardState, tuple]:
+    """Apply one batch; on any error answer ERROR with a fresh state.
+
+    The shard's state may be torn mid-batch, so it starts clean; the
+    coordinator follows up with a restore from checkpoint + journal.
+    """
+    try:
+        edits, stat_rows = state.apply_batch(ops)
+    except Exception as error:  # noqa: BLE001 - forwarded verbatim
+        return ShardState(), (messages.ERROR, repr(error), traceback.format_exc())
+    return state, (messages.OK, edits, stat_rows)
+
+
+class _InlineShard:
+    """A shard applied synchronously on the caller's thread.
+
+    Serves two roles on either transport: the ``workers=0`` serial
+    configuration, and the *demotion* target -- a shard whose worker
+    keeps failing is rebuilt from its journal into one of these, trading
+    parallelism for completion.  Inline shards never consult the fault
+    plan: a fault executed in-process would take the coordinator down
+    with it.
+    """
+
+    def __init__(self, index: int, state: Optional[ShardState] = None) -> None:
+        self.index = index
+        self.state = state if state is not None else ShardState()
+        #: FIFO of uncollected replies (recovery re-dispatch can queue
+        #: several batches before the collect loop drains them).
+        self._replies: deque = deque()
+
+    def dispatch(self, ops: Sequence, seq: Optional[int] = None) -> None:
+        self.state, reply = _apply_or_error(self.state, ops)
+        self._replies.append(reply)
+
+    def collect(self, deadline: Optional[float] = None) -> tuple:
+        return self._replies.popleft()
+
+    def checkpoint(self, deadline: Optional[float] = None) -> tuple:
+        return self.state.checkpoint()
+
+    def restore(self, checkpoint: Optional[Checkpoint], journal: Sequence) -> int:
+        self.state = rebuild_state(checkpoint, journal)
+        self._replies.clear()
+        return len(journal)
+
+    def stop(self) -> None:
+        self._replies.clear()
+
+    kill = stop
 
 
 def _perform_fault(spec, conn) -> None:
@@ -196,64 +369,55 @@ def _perform_fault(spec, conn) -> None:
         time.sleep(spec.seconds)
 
 
-def shard_main(spec, index: int = 0, fault_plan: Optional[FaultPlan] = None) -> None:
+def _wire_edit(edit: Edit) -> Edit:
+    """The picklable form of one edit: live inserts become timetag rows
+    the coordinator resolves against its own working memory."""
+    if edit[0] == messages.INSERT_REF:
+        inst = edit[1]
+        return (messages.INSERT, inst.production.name, inst.timetags, inst.bindings)
+    return edit
+
+
+def shard_main(conn, index: int = 0, fault_plan: Optional[FaultPlan] = None) -> None:
     """Worker process entry point: serve commands until told to stop.
 
-    *spec* is a :class:`~repro.parallel.transport.WorkerTransportSpec`
-    (or a bare ``Connection``, kept working for direct harnesses): the
-    worker connects the matching endpoint and from there the loop is
-    transport-blind -- ``recv`` yields the same command tuples whether
-    they arrived as a pickled pipe message or a packed ring frame.
+    *conn* is the child end of the shard's ``multiprocessing`` pipe;
+    commands and replies are the pickled tuples of
+    :mod:`repro.parallel.messages`.
 
     Any exception while applying a batch is reported to the coordinator
     instead of silently killing the process; the worker resets to a
-    fresh state (its own may be torn mid-batch) and the coordinator
-    restores it from the journal, so a failed differential-test example
-    does not poison the next one.
+    fresh state and the coordinator restores it from the journal, so a
+    failed differential-test example does not poison the next one.
     """
-    from .transport import WorkerTransportSpec, connect_worker
-
-    if not isinstance(spec, WorkerTransportSpec):
-        spec = WorkerTransportSpec("pipe", spec)
-    endpoint = connect_worker(spec)
     state = ShardState()
     while True:
         try:
-            message = endpoint.recv()
+            message = conn.recv()
         except EOFError:
             break
         tag = message[0]
         if tag == messages.STOP:
             break
         if tag == messages.BATCH:
-            ops = message[1]
-            seq = message[2] if len(message) > 2 else None
+            _, ops, seq = message
             if fault_plan is not None:
                 fault = fault_plan.shard_fault(index, seq)
                 if fault is not None:
-                    _perform_fault(fault, spec.conn)
-            try:
-                edits, stat_rows = state.apply_batch(ops)
-            except BaseException as error:  # noqa: BLE001 - forwarded verbatim
-                endpoint.send((messages.ERROR, repr(error), traceback.format_exc()))
-                # The shard's state may be torn mid-batch; start clean.
-                # The coordinator follows up with a restore.
-                state = ShardState()
-                continue
-            endpoint.send((messages.OK, edits, stat_rows))
+                    _perform_fault(fault, conn)
+            state, reply = _apply_or_error(state, ops)
+            if reply[0] == messages.OK:
+                reply = (messages.OK, [_wire_edit(e) for e in reply[1]], reply[2])
         elif tag == messages.CHECKPOINT:
-            try:
-                endpoint.send((messages.CHECKPOINT, state.checkpoint()))
-            except Exception as error:  # noqa: BLE001 - forwarded verbatim
-                endpoint.send((messages.ERROR, repr(error), traceback.format_exc()))
+            reply = (messages.CHECKPOINT, state.checkpoint())
         elif tag == messages.RESTORE:
             try:
                 state = rebuild_state(message[1], message[2])
-            except BaseException as error:  # noqa: BLE001 - forwarded verbatim
-                endpoint.send((messages.ERROR, repr(error), traceback.format_exc()))
+                reply = (messages.RESTORED, len(message[2]))
+            except Exception as error:  # noqa: BLE001 - forwarded verbatim
                 state = ShardState()
-                continue
-            endpoint.send((messages.RESTORED, len(message[2])))
+                reply = (messages.ERROR, repr(error), traceback.format_exc())
         else:  # pragma: no cover - protocol misuse
-            endpoint.send((messages.ERROR, f"unknown message {tag!r}", ""))
-    endpoint.close()
+            reply = (messages.ERROR, f"unknown message {tag!r}", "")
+        conn.send(reply)
+    conn.close()

@@ -105,7 +105,7 @@ def replay(
     trace: Sequence[dict],
     client_index: int = 0,
     program: str = closure.PROGRAM,
-    matcher: str = "rete",
+    matcher: str = "compiled",
     workers: Optional[int] = None,
     max_pending: Optional[int] = None,
     session: Optional[str] = None,
@@ -161,7 +161,7 @@ def run_load(
     trace: Optional[Sequence[dict]] = None,
     shared_session: bool = False,
     program: str = closure.PROGRAM,
-    matcher: str = "rete",
+    matcher: str = "compiled",
     workers: Optional[int] = None,
     max_pending: Optional[int] = None,
     **trace_kwargs,
@@ -293,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--shared-session", action="store_true",
         help="all clients target one session (the backpressure scenario)",
     )
-    parser.add_argument("--matcher", default="rete")
+    parser.add_argument("--matcher", default="compiled")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --matcher parallel")
     parser.add_argument("--max-pending", type=int, default=None,

@@ -53,7 +53,13 @@ from ..ops5.errors import (
 )
 from .durability import validate_engine_state
 from .protocol import ProtocolError, read_message, write_message
-from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, QuotaExceeded, SessionManager
+from .session import (
+    DEFAULT_MATCHER,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_TENANT,
+    QuotaExceeded,
+    SessionManager,
+)
 from .stats import Telemetry
 
 
@@ -185,7 +191,7 @@ class RuleServer:
             raise Ops5Error("server is shutting down")
         session = self.sessions.create(
             program=request.get("program", ""),
-            matcher=request.get("matcher", "rete"),
+            matcher=request.get("matcher", DEFAULT_MATCHER),
             workers=request.get("workers"),
             strategy=request.get("strategy", "lex"),
             max_pending=request.get("max_pending"),
@@ -230,7 +236,7 @@ class RuleServer:
         try:
             session = self.sessions.create(
                 program=config.get("program", ""),
-                matcher=config.get("matcher", "rete"),
+                matcher=config.get("matcher", DEFAULT_MATCHER),
                 strategy=config.get("strategy", "lex"),
                 max_pending=config.get("max_pending"),
                 name=request.get("name"),

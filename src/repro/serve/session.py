@@ -62,6 +62,11 @@ from .stats import Telemetry
 #: Default bound on a session's request queue.
 DEFAULT_MAX_PENDING = 64
 
+#: Matcher a session runs when the client names none: the compiled
+#: kernel, the fastest serial path (``rete`` stays selectable as the
+#: paper-faithful reference).
+DEFAULT_MATCHER = "compiled"
+
 #: Ceiling on the retry hint handed to rejected clients, seconds.
 MAX_RETRY_AFTER = 2.0
 
@@ -181,7 +186,7 @@ class Session:
         self,
         session_id: str,
         program: str = "",
-        matcher: str = "rete",
+        matcher: str = DEFAULT_MATCHER,
         workers: Optional[int] = None,
         strategy: str = "lex",
         max_pending: int = DEFAULT_MAX_PENDING,
@@ -615,7 +620,7 @@ class SessionManager:
     def create(
         self,
         program: str = "",
-        matcher: str = "rete",
+        matcher: str = DEFAULT_MATCHER,
         workers: Optional[int] = None,
         strategy: str = "lex",
         max_pending: Optional[int] = None,

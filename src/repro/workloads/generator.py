@@ -12,7 +12,7 @@ feeds them to the cross-matcher differential harness: every generated
 ``(ruleset, stream)`` pair must produce bit-identical conflict sets,
 firing sequences, output, and final memories across all six matcher
 backends (naive, TREAT, Rete, indexed Rete, Oflazer, parallel) and all
-shard transports (pipe, ring, and the shared-memory ``local`` threads).
+shard transports (``pipe`` worker processes and ``local`` threads).
 
 Three consumers share the machinery:
 
@@ -593,11 +593,11 @@ SERIAL_BACKENDS: tuple[str, ...] = (
     "compiled",
 )
 
-#: Default shard transports for the parallel backend.  ``local`` is the
-#: shared-memory thread backend (compiled-kernel shards, zero-copy
-#: dispatch); its inclusion makes every fuzz case a differential check
-#: of the work-stealing scheduler against the process transports too.
-DEFAULT_TRANSPORTS: tuple[str, ...] = ("pipe", "ring", "local")
+#: Default shard transports for the parallel backend: worker processes
+#: over pickled pipes, and ``local`` thread shards under the
+#: work-stealing scheduler.  Both run the compiled kernel; the serial
+#: matchers (interpreted Rete among them) are the independent judges.
+DEFAULT_TRANSPORTS: tuple[str, ...] = ("pipe", "local")
 
 
 @dataclass(frozen=True)
@@ -660,8 +660,7 @@ class MatcherFleet:
     Serial matchers are rebuilt per case (cheap); the parallel matcher
     keeps one process pool per transport for the whole campaign and is
     ``clear()``-ed between cases, so a thousand generated programs cost
-    two forks, not two thousand.  Transports the host cannot provide
-    (no ``multiprocessing.shared_memory``) are skipped with a note.
+    two forks, not two thousand.
     """
 
     def __init__(
@@ -670,15 +669,11 @@ class MatcherFleet:
         transports: Sequence[str] = DEFAULT_TRANSPORTS,
         serial: Sequence[str] = SERIAL_BACKENDS,
     ) -> None:
-        from ..parallel import ParallelMatcher, ring_available
+        from ..parallel import ParallelMatcher
 
         self._serial = tuple(serial)
         self._pools: dict[str, object] = {}
-        self.notes: list[str] = []
         for transport in transports:
-            if transport == "ring" and not ring_available():
-                self.notes.append("ring transport unavailable on this host; skipped")
-                continue
             self._pools[f"parallel-{transport}"] = ParallelMatcher(
                 workers=workers, transport=transport
             )
@@ -1053,7 +1048,6 @@ class FuzzReport:
     iterations: int
     backends: list[str]
     counterexamples: list[CounterExample] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -1071,7 +1065,6 @@ class FuzzReport:
             "backends": self.backends,
             "mismatches": len(self.counterexamples),
             "counterexamples": [c.snapshot() for c in self.counterexamples],
-            "notes": self.notes,
         }
 
 
@@ -1105,12 +1098,10 @@ def fuzz(
     start = time.monotonic()
     deadline = start + budget
     fleet: Optional[MatcherFleet] = None
-    notes: list[str] = []
     try:
         if backends is None:
             fleet = MatcherFleet(workers=workers, transports=transports)
             backends = fleet.backends()
-            notes.extend(fleet.notes)
         report = FuzzReport(
             seed=seed,
             profile=profile.name,
@@ -1118,7 +1109,6 @@ def fuzz(
             elapsed=0.0,
             iterations=0,
             backends=sorted(backends),
-            notes=notes,
         )
         iteration = 0
         while time.monotonic() < deadline:

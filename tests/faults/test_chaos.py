@@ -1,5 +1,5 @@
 """Chaos end-to-end: real worker processes killed, hung, and demoted
-mid-run, with the recovered run proven bit-identical to the inline
+mid-run, with the recovered run proven bit-identical to the serial Rete
 reference.
 
 Marked ``chaos`` and deselected from tier-1 (``pyproject.toml`` adds
@@ -45,7 +45,7 @@ FAST = SupervisorConfig(collect_deadline=0.5, checkpoint_every=4)
 def test_crash_plus_hang_mid_run_is_bit_identical():
     """The acceptance scenario: one shard killed (os._exit -- the
     observable behaviour of kill -9), another hung, mid-run.  The run
-    completes and every observable matches the inline reference."""
+    completes and every observable matches the serial Rete reference."""
     plan = FaultPlan(
         [
             FaultSpec(kind=CRASH, index=0, at=3),
@@ -117,16 +117,11 @@ def test_slow_shard_within_deadline_is_not_a_failure():
     assert report.fault_summary["hangs"] == 0
 
 
-def test_crash_recovery_over_ring_transport_is_bit_identical():
+def test_crash_recovery_over_both_transports_is_bit_identical():
     """The transport acceptance criterion: seeded crash-plus-hang
-    recovery must be bit-identical over the shared-memory ring exactly
-    as over pickled pipes -- restore replays cross the control pipe,
-    steady-state batches cross the ring, and neither path may leak into
+    recovery must be bit-identical over thread shards exactly as over
+    worker processes -- neither the wire nor its absence may leak into
     the observables."""
-    from repro.parallel import ring_available
-
-    if not ring_available():
-        pytest.skip("shared_memory unavailable on this host")
     reports = {
         kind: seeded_chaos(
             CLOSURE,
@@ -138,7 +133,7 @@ def test_crash_recovery_over_ring_transport_is_bit_identical():
             supervisor=FAST,
             transport=kind,
         )
-        for kind in ("ring", "pipe")
+        for kind in ("local", "pipe")
     }
     for kind, report in reports.items():
         assert report.identical, (kind, report.divergences)
@@ -230,7 +225,7 @@ def test_compiled_kernel_joins_the_chaos_comparison():
         CLOSURE, CHAIN, seed=7, workers=2, crashes=1, supervisor=FAST,
         with_compiled=True,
     )
-    assert report.participants == ["inline", "compiled+oracle", "parallel+faults"]
+    assert report.participants == ["rete", "compiled+oracle", "parallel+faults"]
     assert report.identical, report.divergences
     assert report.snapshot()["participants"] == report.participants
 

@@ -10,7 +10,7 @@ ships.  Marked ``chaos`` like the rest of the fault-injection e2e suite.
 import pytest
 
 from repro.faults import seeded_chaos
-from repro.parallel import SupervisorConfig, ring_available
+from repro.parallel import SupervisorConfig
 from repro.workloads.generator import (
     DEFAULT_PROFILE,
     case_from_seed,
@@ -52,10 +52,8 @@ def _setup_from(case):
     return list(live.values())
 
 
-@pytest.mark.parametrize("transport", ["pipe", "ring"])
+@pytest.mark.parametrize("transport", ["pipe", "local"])
 def test_shrunk_generated_program_survives_crash(transport):
-    if transport == "ring" and not ring_available():
-        pytest.skip("shared-memory ring transport unavailable")
     case = _generated_case()
     report = seeded_chaos(
         list(case.productions),

@@ -6,15 +6,17 @@ import pytest
 
 from repro.faults import CRASH, FaultPlan, FaultSpec
 from repro.ops5 import parse_program
+from repro.ops5.wme import WME, WorkingMemory
 from repro.parallel import (
     ParallelMatcher,
+    ShardState,
     ShardSupervisor,
     SupervisorConfig,
     rebuild_state,
     validate_parallel,
 )
 from repro.parallel import messages
-from repro.parallel.worker import ShardState
+from repro.parallel.worker import resolve_checkpoint
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -27,16 +29,21 @@ CLOSURE = """
 CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(5)]
 
 
+MEMORY = WorkingMemory()
+
+
+def _parent(i: int) -> tuple:
+    """An ADD_WME op for the parent edge n<i> -> n<i+1>."""
+    return (messages.ADD_WME, MEMORY.add(WME("parent", {"from": f"n{i}", "to": f"n{i + 1}"})))
+
+
 def _loaded_state(edges: int = 3) -> tuple[ShardState, list]:
     """A shard state with the closure rules and *edges* parent WMEs,
     plus the op journal that produced it."""
     ops = [
         (messages.ADD_PRODUCTION, p) for p in parse_program(CLOSURE).productions
     ]
-    for i in range(edges):
-        ops.append(
-            (messages.ADD_WME, "parent", {"from": f"n{i}", "to": f"n{i + 1}"}, i + 1)
-        )
+    ops += [_parent(i) for i in range(edges)]
     state = ShardState()
     state.apply_batch(ops)
     return state, ops
@@ -54,10 +61,10 @@ def test_rebuild_from_full_journal_matches_original():
 
 def test_rebuild_from_checkpoint_plus_tail_matches_original():
     state, journal = _loaded_state()
-    blob = state.checkpoint()
-    tail = [(messages.ADD_WME, "parent", {"from": "n9", "to": "n10"}, 99)]
+    checkpoint = resolve_checkpoint(state.checkpoint(), state.productions, state.wmes)
+    tail = [_parent(9)]
     state.apply_batch(list(tail))
-    clone = rebuild_state(blob, tail)
+    clone = rebuild_state(checkpoint, tail)
     assert clone.conflict_set.snapshot() == state.conflict_set.snapshot()
 
 
@@ -72,10 +79,12 @@ def test_rebuild_drains_replay_output():
 def test_rebuilt_state_produces_identical_future_edits():
     state, journal = _loaded_state()
     clone = rebuild_state(None, journal)
-    next_op = [(messages.ADD_WME, "parent", {"from": "n3", "to": "n4"}, 50)]
+    next_op = [_parent(3)]
     original_edits, _ = state.apply_batch(list(next_op))
     clone_edits, _ = clone.apply_batch(list(next_op))
-    assert clone_edits == original_edits
+    assert [e[1].key if e[0] == messages.INSERT_REF else e for e in clone_edits] == [
+        e[1].key if e[0] == messages.INSERT_REF else e for e in original_edits
+    ]
 
 
 # -- supervisor bookkeeping ---------------------------------------------------
@@ -188,6 +197,26 @@ def test_single_crash_recovers_bit_identically():
     assert events[0].action == "respawned"
     assert summary["crashes"] == 1 and summary["respawns"] == 1
     assert summary["replay_seconds"] > 0
+
+
+def test_demoted_pipe_shard_after_checkpoint_is_bit_identical():
+    """Three crashes in a row demote the pipe shard to an inline shard
+    rebuilt from a checkpoint the worker process took: the checkpoint
+    must resolve to the coordinator's own objects, or later firings
+    would touch WME copies the engine cannot remove."""
+    plan = FaultPlan([FaultSpec(kind=CRASH, index=0, at=at) for at in (6, 7, 8)])
+    config = SupervisorConfig(collect_deadline=5.0, checkpoint_every=2, max_failures=1)
+    with ParallelMatcher(workers=1, fault_plan=plan, supervisor=config) as faulted:
+        from repro.parallel.validate import run_recorded
+
+        record = run_recorded(CLOSURE, CHAIN, faulted)
+        events = faulted.fault_events()
+        degraded = faulted.degraded_shards
+    reference = validate_parallel(CLOSURE, CHAIN, workers=1).records["rete"]
+    assert record == reference
+    assert [e.action for e in events] == ["demoted"]
+    assert events[0].used_checkpoint
+    assert degraded == [0]
 
 
 def test_unfired_fault_changes_nothing():

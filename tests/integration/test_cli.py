@@ -36,7 +36,8 @@ class TestRun:
                          "--matcher", matcher]) == 0
 
     def test_stats_flag(self, capsys, program_file, wmes_file):
-        main(["run", program_file, "--wmes", wmes_file, "--stats"])
+        main(["run", program_file, "--wmes", wmes_file, "--stats",
+              "--matcher", "rete"])
         out = capsys.readouterr().out
         assert "mean affected productions" in out
         assert "rete:" in out
@@ -249,7 +250,7 @@ class TestMatchersCommand:
         for name in MATCHER_NAMES:
             assert name in out
         assert "generated kernel" in out  # the one-line descriptions
-        for transport in ("pipe", "ring", "auto"):
+        for transport in ("pipe", "local"):
             assert transport in out
 
 

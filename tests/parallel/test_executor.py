@@ -7,6 +7,8 @@ production changes, and pool lifecycle -- so a regression points at the
 broken part directly.
 """
 
+import pickle
+
 import pytest
 
 from repro.ops5 import Ops5Error, ProductionSystem, parse_program
@@ -74,9 +76,10 @@ def test_sharing_loss_is_at_least_one():
 
 
 def test_wme_roundtrips_through_the_wire_format():
+    """A WME op crosses the pipe as a pickled ``("+w", wme)`` tuple."""
     wme = WorkingMemory().add(WME("goal", {"want": "x", "n": 3}))
-    op = messages.encode_wme(wme)
-    decoded = messages.decode_wme(op)
+    tag, decoded = pickle.loads(pickle.dumps((messages.ADD_WME, wme)))
+    assert tag == messages.ADD_WME
     assert decoded.cls == wme.cls
     assert decoded.attributes == wme.attributes
     assert decoded.timetag == wme.timetag
@@ -94,7 +97,7 @@ def test_shard_state_stat_rows_count_wme_ops_only():
     memory = WorkingMemory()
     production = _closure_productions()[0]
     wme = memory.add(WME("parent", {"from": "a", "to": "b"}))
-    ops = [(messages.ADD_PRODUCTION, production), messages.encode_wme(wme)]
+    ops = [(messages.ADD_PRODUCTION, production), (messages.ADD_WME, wme)]
     _, stat_rows = state.apply_batch(ops)
     assert [row[0] for row in stat_rows] == [0]
 
@@ -137,6 +140,31 @@ def test_late_production_backfills_existing_memory():
         for wme in memory:
             serial.add_wme(wme)
         assert matcher.conflict_set.snapshot() == serial.conflict_set.snapshot()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"workers": 0}, {"workers": 1, "transport": "pipe"}, {"workers": 1, "transport": "local"}],
+    ids=["inline", "pipe", "local"],
+)
+def test_backfill_skips_wmes_whose_removal_is_queued(config):
+    """Regression: a production placed after a queued removal must not
+    be backfilled with the dying WME.  The removal was routed before the
+    new subscription, so the shard would keep the WME forever."""
+    late = parse_program("(p late (b ^y <v>) --> (halt))").productions[0]
+
+    def drive(matcher):
+        wme = WorkingMemory().add(WME("b", {"y": 3}))
+        matcher.add_wme(wme)
+        matcher.conflict_set  # the barrier: the add is flushed
+        matcher.remove_wme(wme)
+        matcher.add_production(late)
+        return matcher.conflict_set.snapshot()
+
+    expected = drive(ReteNetwork())
+    assert expected == frozenset()
+    with ParallelMatcher(**config) as matcher:
+        assert drive(matcher) == expected
 
 
 def test_remove_production_retracts_its_instantiations():

@@ -15,11 +15,12 @@ from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.wme import WME, WorkingMemory
 from repro.parallel import ParallelMatcher, SupervisorConfig
 from repro.parallel import messages
-from repro.parallel.local import (
-    LocalKernelState,
-    LocalScheduler,
-    _LocalShard,
-    rebuild_local_state,
+from repro.parallel.local import LocalScheduler, _LocalShard
+from repro.parallel.worker import (
+    ShardState,
+    _InlineShard,
+    rebuild_state,
+    resolve_checkpoint,
 )
 from repro.parallel.validate import run_recorded, validate_parallel
 from repro.rete import ReteNetwork
@@ -42,15 +43,21 @@ FAST = SupervisorConfig(collect_deadline=0.5, checkpoint_every=4)
 
 
 def _closure_state():
-    """A LocalKernelState loaded with the closure rules + chain facts."""
+    """A ShardState loaded with the closure rules + chain facts."""
     productions = parse_program(CLOSURE).productions
     memory = WorkingMemory()
     wmes = [memory.add(WME(cls, dict(attrs))) for cls, attrs in CHAIN]
-    state = LocalKernelState()
+    state = ShardState()
     ops = [(messages.ADD_PRODUCTION, p) for p in productions]
-    ops += [(messages.ADD_WME_REF, w) for w in wmes]
+    ops += [(messages.ADD_WME, w) for w in wmes]
     edits, rows = state.apply_batch(ops)
     return state, edits, rows, memory
+
+
+def _resolved(state):
+    """The checkpoint as the coordinator stores it: names resolved
+    against the live objects (here, the state's own)."""
+    return resolve_checkpoint(state.checkpoint(), state.productions, state.wmes)
 
 
 # -- differential identity ----------------------------------------------------
@@ -117,7 +124,7 @@ def test_checkpoint_restore_preserves_wme_identity():
     objects.  The engine removes WMEs by identity, so a restored shard
     holding equal-but-distinct copies poisons every later firing."""
     state, _, _, memory = _closure_state()
-    restored = rebuild_local_state(state.checkpoint(), [])
+    restored = rebuild_state(_resolved(state), [])
     assert set(restored.wmes) == set(state.wmes)
     for timetag, wme in restored.wmes.items():
         assert wme is state.wmes[timetag]
@@ -132,10 +139,10 @@ def test_checkpoint_restore_preserves_wme_identity():
 
 def test_restore_replays_journal_tail():
     state, _, _, memory = _closure_state()
-    blob = state.checkpoint()
+    checkpoint = _resolved(state)
     late = memory.add(WME("parent", {"from": "n6", "to": "n7"}))
-    journal = [(messages.ADD_WME_REF, late)]
-    restored = rebuild_local_state(blob, journal)
+    journal = [(messages.ADD_WME, late)]
+    restored = rebuild_state(checkpoint, journal)
     assert late.timetag in restored.wmes
     assert len(restored.wmes) == len(state.wmes) + 1
     # Journal replay is quiet: the coordinator already merged those edits.
@@ -145,7 +152,7 @@ def test_restore_replays_journal_tail():
 def test_bad_op_resets_inline_shard_state():
     """An op error must answer ERROR and leave the shard reusable with
     fresh state -- the same contract the process worker honours."""
-    shard = _LocalShard(0, scheduler=None)
+    shard = _InlineShard(0)
     shard.dispatch([("bogus-tag", None)])
     status, payload, _ = shard.collect()
     assert status == messages.ERROR
@@ -196,7 +203,7 @@ def test_oversize_batches_run_through_the_deques():
         for i in range(40)
     ]
     ops = [(messages.ADD_PRODUCTION, p) for p in productions]
-    ops += [(messages.ADD_WME_REF, w) for w in wmes]
+    ops += [(messages.ADD_WME, w) for w in wmes]
     scheduler = LocalScheduler(2, grain=4)
     try:
         shard = _LocalShard(0, scheduler=scheduler)
@@ -210,7 +217,7 @@ def test_oversize_batches_run_through_the_deques():
     # either way they went through the deques, not the fast path.
     assert stats["tasks_executed"] + stats["tasks_helped"] > 0
     assert stats["fast_batches"] == 0
-    serial_edits, serial_rows = LocalKernelState().apply_batch(list(ops))
+    serial_edits, serial_rows = ShardState().apply_batch(list(ops))
     keys = lambda es: sorted(
         e[1].key for e in es if e[0] == messages.INSERT_REF
     )

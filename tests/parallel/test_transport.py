@@ -1,25 +1,21 @@
-"""The transport layer end to end: ring vs pipe, eager dispatch, metrics.
+"""The transport layer end to end: pipe vs local, eager dispatch, metrics.
 
-The contract under test: the choice of shard transport (pickled pipes
-vs packed shared-memory ring frames) and of dispatch policy (barrier vs
-eager batching) is *invisible* in every run observable -- firing
-sequence, conflict sets, output, final memory -- and visible only in
-the transport metrics.  These tests drive the same program through the
-combinations and diff the records, then pin the metrics/plumbing edges
-(resolution, validation, endpoint accounting) directly.
+The contract under test: the choice of shard transport (worker
+processes over pickled pipes vs thread shards) and of dispatch timing
+(barrier vs eager batching) is *invisible* in every run observable --
+firing sequence, conflict sets, output, final memory -- and visible
+only in the transport metrics.  These tests drive the same workload
+through the combinations and diff against the serial Rete, then pin
+the metrics/plumbing edges (validation, pipe accounting) directly.
 """
 
 import pytest
 
-from repro.ops5 import Ops5Error, ProductionSystem
-from repro.parallel import (
-    DispatchConfig,
-    ParallelMatcher,
-    TRANSPORTS,
-    resolve_transport,
-    ring_available,
-    validate_parallel,
-)
+from repro.ops5 import Ops5Error, ProductionSystem, parse_program
+from repro.ops5.wme import WME, WorkingMemory
+from repro.parallel import ParallelMatcher, TRANSPORTS, validate_parallel
+from repro.parallel.executor import EAGER_MIN_OPS
+from repro.rete import ReteNetwork
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -31,21 +27,13 @@ CLOSURE = """
 
 CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(5)]
 
-needs_ring = pytest.mark.skipif(
-    not ring_available(), reason="shared_memory unavailable on this host"
-)
-
 
 def test_resolution():
-    assert resolve_transport("pipe") == "pipe"
-    assert resolve_transport("auto") in ("ring", "pipe")
-    if ring_available():
-        assert resolve_transport("ring") == "ring"
-        assert resolve_transport("auto") == "ring"
-    with pytest.raises(ValueError):
-        resolve_transport("telepathy")
-    assert resolve_transport("local") == "local"
-    assert set(TRANSPORTS) == {"auto", "ring", "pipe", "local"}
+    assert TRANSPORTS == ("pipe", "local")
+    assert ParallelMatcher(workers=1).transport == "pipe"
+    for gone in ("auto", "ring"):
+        with pytest.raises(Ops5Error):
+            ParallelMatcher(workers=1, transport=gone)
 
 
 def test_matcher_rejects_unknown_transport():
@@ -57,21 +45,7 @@ def test_build_matcher_rejects_transport_for_serial_backends():
     from repro.serve.session import build_matcher
 
     with pytest.raises(Ops5Error):
-        build_matcher("rete", transport="ring")
-
-
-def test_dispatch_config_validation():
-    with pytest.raises(ValueError):
-        DispatchConfig(eager_ops=0)
-    with pytest.raises(ValueError):
-        DispatchConfig(min_ops=8, max_ops=4)
-    assert DispatchConfig(eager_ops=None).eager_ops is None
-
-
-@needs_ring
-def test_ring_transport_is_bit_identical_to_rete():
-    report = validate_parallel(CLOSURE, CHAIN, workers=2, transport="ring")
-    assert report.agree, report.divergences()
+        build_matcher("rete", transport="pipe")
 
 
 def test_pipe_transport_is_bit_identical_to_rete():
@@ -79,47 +53,32 @@ def test_pipe_transport_is_bit_identical_to_rete():
     assert report.agree, report.divergences()
 
 
-@pytest.mark.parametrize("transport", ["ring", "pipe"])
+@pytest.mark.parametrize("transport", ["pipe", "local"])
 def test_eager_dispatch_changes_no_observable(transport):
-    """An eager_ops=1 run dispatches mid-cycle constantly; the record
-    must still match the pure-barrier run op for op."""
-    if transport == "ring" and not ring_available():
-        pytest.skip("shared_memory unavailable")
-    records = {}
-    for label, dispatch in [
-        ("barrier", DispatchConfig(eager_ops=None)),
-        ("eager", DispatchConfig(eager_ops=1, adaptive=False, min_ops=1)),
-    ]:
-        from repro.parallel.validate import run_recorded
-
-        with ParallelMatcher(workers=2, transport=transport, dispatch=dispatch) as m:
-            records[label] = run_recorded(CLOSURE, CHAIN, m)
-            summary = m.transport_summary()
-        if label == "eager":
-            assert summary["eager_dispatches"] > 0
-        else:
-            assert summary["eager_dispatches"] == 0
-    assert records["barrier"] == records["eager"]
-
-
-@needs_ring
-def test_ring_run_uses_packed_frames_not_pickle():
-    """The perf claim's precondition: a steady-state closure run over
-    the ring ships zero pickle-fallback frames (productions ride in the
-    batch frame's pickled-op slot, not as whole-frame fallbacks)."""
-    with ParallelMatcher(workers=2, transport="ring") as matcher:
-        system = ProductionSystem(CLOSURE, matcher=matcher)
-        for cls, attrs in CHAIN:
-            system.add(cls, **attrs)
-        system.run(max_cycles=100)
-        matcher.flush()
+    """A bulk load past the eager threshold dispatches mid-cycle; the
+    conflict sets must still match the serial Rete change for change."""
+    productions = parse_program(CLOSURE).productions
+    memory = WorkingMemory()
+    wmes = [
+        memory.add(WME("parent", {"from": f"n{i}", "to": f"n{i + 1}"}))
+        for i in range(40 * EAGER_MIN_OPS)
+    ]
+    reference = ReteNetwork()
+    with ParallelMatcher(workers=2, transport=transport) as matcher:
+        for target in (reference, matcher):
+            for production in productions:
+                target.add_production(production)
+        for batch in (wmes, wmes[::2]):
+            for target in (reference, matcher):
+                for wme in batch:
+                    if batch is wmes:
+                        target.add_wme(wme)
+                    else:
+                        target.remove_wme(wme)
+            assert matcher.conflict_set.snapshot() == reference.conflict_set.snapshot()
         summary = matcher.transport_summary()
-    assert summary["kind"] == "ring"
-    assert summary["pickle_fallbacks"] == 0
-    assert summary["frames_sent"] > 0
-    assert summary["bytes_sent"] > 0
-    assert summary["frames_received"] >= summary["dispatches"]
-    assert summary["symbols"] > 0
+    assert summary["eager_dispatches"] > 0
+    assert summary["dispatches"] > summary["eager_dispatches"]
 
 
 def test_metrics_snapshot_has_transport_section():
@@ -136,7 +95,23 @@ def test_metrics_snapshot_has_transport_section():
     assert transport["kind"] == "pipe"
     assert transport["dispatches"] > 0
     assert transport["frames_sent"] > 0
+    assert transport["frames_received"] >= transport["dispatches"]
+    assert transport["bytes_sent"] > 0
     assert transport["mean_dispatch_latency_us"] > 0
+    assert transport["symbols"] > 0
+    assert set(transport) == {
+        "kind",
+        "dispatches",
+        "eager_dispatches",
+        "mean_dispatch_latency_us",
+        "symbols",
+        "frames_sent",
+        "bytes_sent",
+        "frames_received",
+        "bytes_received",
+        "send_seconds",
+        "recv_seconds",
+    }
 
 
 def test_inline_matcher_reports_inline_kind():
@@ -150,11 +125,10 @@ def test_inline_matcher_reports_inline_kind():
     assert summary["frames_sent"] == 0
 
 
-@needs_ring
 def test_transport_stats_survive_worker_retirement():
-    """close() must absorb endpoint counters before tearing them down,
-    so post-mortem summaries still carry the run's traffic."""
-    matcher = ParallelMatcher(workers=2, transport="ring")
+    """close() must absorb pipe counters before tearing them down, so
+    post-mortem summaries still carry the run's traffic."""
+    matcher = ParallelMatcher(workers=2, transport="pipe")
     try:
         system = ProductionSystem(CLOSURE, matcher=matcher)
         for cls, attrs in CHAIN:

@@ -40,7 +40,7 @@ def test_full_session_lifecycle(server):
             assert len(wm) == 6 + closure.expected_chain_facts(6)
             stats = client.session_stats(sid)
             assert stats["firings"] == closure.expected_chain_facts(6)
-            assert stats["matcher"] == "rete"
+            assert stats["matcher"] == "compiled"
         finally:
             client.destroy_session(sid)
         assert "life" not in client.list_sessions()
