@@ -40,7 +40,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
+import signal
 import sys
+import threading
 from typing import Optional, Sequence
 
 from .analysis import render_series, render_table
@@ -655,7 +658,35 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _sigterm_drains():
+    """Make SIGTERM drain the server the way SIGINT (Ctrl-C) does.
+
+    Python's default SIGTERM ends the interpreter without unwinding, so
+    a fleet's ``with`` exit never runs and its worker processes outlive
+    the server.  Only the main thread may install a handler; a server
+    run on another thread keeps the one it has.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_serve(args) -> int:
+    with _sigterm_drains():
+        return _serve(args)
+
+
+def _serve(args) -> int:
     from .serve import DEFAULT_MAX_PENDING, run_server
 
     max_pending = (
@@ -954,6 +985,11 @@ def _cmd_fuzz(args) -> int:
         f"{report.elapsed:.1f}s across {len(report.backends)} backends "
         f"({', '.join(report.backends)})"
     )
+    if report.unfinished:
+        print(
+            f"-- {report.unfinished} case(s) unfinished: the budget ran out "
+            "mid-case (no verdict, not counted above)"
+        )
     for counter in report.counterexamples:
         shrunk = counter.shrunk
         print(

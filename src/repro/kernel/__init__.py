@@ -6,7 +6,9 @@ dispatch is cheap (ROADMAP item 1; CORGI's observation in PAPERS.md).
 This package removes that factor by *compiling* each ruleset, once, to
 specialized Python:
 
-* every production's alpha tests fuse into a single predicate closure;
+* every production's alpha tests fuse into a single predicate closure,
+  and a per-class hash table on one constant-test attribute routes each
+  WME to the few stores whose predicates it could pass;
 * beta joins become hash-indexed probes over columnar alpha memories
   whose key components are small ints from the process-wide
   :mod:`repro.ops5.symbols` intern table;

@@ -5,7 +5,9 @@ single ``build(rt)`` function.  Executing the compiled module and
 calling ``build`` with a :class:`~repro.kernel.matcher.KernelRuntime`
 materialises the whole match network as *closures over local dicts*:
 
-* one fused alpha predicate per distinct (class, alpha tests) store;
+* one fused alpha predicate per distinct (class, alpha tests) store,
+  and per class a routing table keyed on one constant-test attribute
+  (see :func:`plan_routes`);
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
   ``ri`` (join key -> {timetag -> WME}), and for negated CEs a blocker
@@ -57,7 +59,14 @@ from ..ops5.condition import (
 from ..ops5.errors import Ops5Error
 from ..ops5.production import Production
 
-__all__ = ["StorePlan", "alpha_items", "generate_source", "plan_stores"]
+__all__ = [
+    "RoutePlan",
+    "StorePlan",
+    "alpha_items",
+    "generate_source",
+    "plan_routes",
+    "plan_stores",
+]
 
 _ORDERING = {
     Predicate.LT: "_lt",
@@ -174,6 +183,110 @@ def plan_stores(
                 own.need_column(jt.own_attribute)
                 use[(p_idx, jt.other_ce)].need_column(jt.other_attribute)
     return plans, use
+
+
+# ---------------------------------------------------------------------------
+# Alpha routing: one hashed constant-test attribute per class
+# ---------------------------------------------------------------------------
+
+#: Constant types a routing table may hold.  The runtime probes the
+#: table only with values of exactly these types, so hash equality
+#: coincides with the generated tests' equality (``1 == 1.0`` on both
+#: sides, ``1 != "1"`` on both sides).
+_ROUTABLE_TYPES = ("str", "int", "float")
+
+
+class RoutePlan:
+    """How WMEs of one class find their candidate stores.
+
+    ``attr`` is the routed attribute (``None`` when no store of the
+    class tests a constant); ``table`` maps each constant value to the
+    stores testing it plus the ``rest`` -- the stores with no constant
+    test on ``attr`` -- all in store order; ``stores`` is every store
+    of the class.
+    """
+
+    __slots__ = ("cls", "attr", "table", "rest", "stores")
+
+    def __init__(self, cls, attr, table, rest, stores) -> None:
+        self.cls = cls
+        self.attr = attr
+        self.table = table
+        self.rest = rest
+        self.stores = stores
+
+
+_NO_KEY = object()
+
+
+def _route_key(plan: StorePlan, attr: str):
+    """The first routable constant *plan* tests *attr* against, or
+    ``_NO_KEY``.  NaN never equals itself, so it is never a key."""
+    for item in plan.items:
+        if (
+            item[0] == "const"
+            and item[1] == attr
+            and item[2] in _ROUTABLE_TYPES
+            and item[3] == item[3]
+        ):
+            return item[3]
+    return _NO_KEY
+
+
+def plan_routes(plans: Sequence[StorePlan]) -> list[RoutePlan]:
+    """One :class:`RoutePlan` per class, in first-store order.
+
+    The routed attribute is the one with the most distinct constant
+    values across the class's stores (``1`` and ``1.0`` count once, as
+    dict keys do); ties go to the smallest name, so codegen stays
+    deterministic.  A store testing two constants on that attribute can
+    only pass if both hold, so filing it under the first is enough.
+    """
+    per_class: dict[str, list[StorePlan]] = {}
+    for plan in plans:
+        per_class.setdefault(plan.cls, []).append(plan)
+    routes: list[RoutePlan] = []
+    for cls, stores in per_class.items():
+        values: dict[str, dict] = {}
+        for plan in stores:
+            for attr in dict.fromkeys(i[1] for i in plan.items if i[0] == "const"):
+                key = _route_key(plan, attr)
+                if key is not _NO_KEY:
+                    values.setdefault(attr, {})[key] = None
+        if not values:
+            routes.append(RoutePlan(cls, None, None, stores, stores))
+            continue
+        attr = max(sorted(values), key=lambda a: len(values[a]))
+        keys = [_route_key(plan, attr) for plan in stores]
+        rest = [plan for plan, key in zip(stores, keys) if key is _NO_KEY]
+        table: dict = {}
+        for value in values[attr]:
+            table[value] = [
+                plan
+                for plan, key in zip(stores, keys)
+                if key is _NO_KEY or key == value
+            ]
+        routes.append(RoutePlan(cls, attr, table, rest, stores))
+    return routes
+
+
+def _store_tuple(plans: Sequence[StorePlan]) -> str:
+    return _tuple_literal([f"S{plan.index}" for plan in plans])
+
+
+def _emit_routes(out: list[str], plans: Sequence[StorePlan]) -> None:
+    for route in plan_routes(plans):
+        table = "None"
+        if route.table is not None:
+            entries = ", ".join(
+                f"{value!r}: {_store_tuple(bucket)}"
+                for value, bucket in route.table.items()
+            )
+            table = f"{{{entries}}}"
+        out.append(
+            f"    rt.route({route.cls!r}, {route.attr!r}, {table}, "
+            f"{_store_tuple(route.rest)}, {_store_tuple(route.stores)})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +663,8 @@ def generate_source(productions: Sequence[Production]) -> str:
         )
         for c_idx, attr in enumerate(plan.columns):
             emit(f"    c{plan.index}_{c_idx} = S{plan.index}.cols[{attr!r}]")
+
+    _emit_routes(out, plans)
 
     for p_idx, production in enumerate(productions):
         _emit_production(out, p_idx, production, use)

@@ -12,8 +12,9 @@ layout in this module:
   symbol id can never collide with a number id.  :data:`NUMBERS` keys
   its dict by the numeric value itself, so ``1`` and ``1.0`` share an
   id exactly as :func:`~repro.ops5.wme.values_equal` equates them.
-  (``bool`` is not an OPS5 value -- ``Value = str | int | float`` -- so
-  the ``True == 1`` dict collision cannot arise from parsed programs.)
+  ``bool`` is not an OPS5 value, yet a JSON ``true`` can reach a
+  session: like ``values_equal``, the encoding treats every non-number
+  as a symbol, so ``True`` never takes the id of ``1``.
 
 * :class:`AlphaStore` is one alpha memory shared by every condition
   element with the same (class, fused alpha tests) signature.  Besides
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 
 from ..ops5.symbols import intern_id
-from ..ops5.wme import WME
+from ..ops5.wme import WME, is_number
 
 __all__ = ["AlphaStore", "NUMBERS", "NumberTable", "encode_value"]
 
@@ -77,9 +78,10 @@ _number_id = NUMBERS.number_id
 
 def encode_value(value) -> int:
     """One int per OPS5 value, equal iff :func:`values_equal` says so."""
-    if type(value) is str:
-        return (intern_id(value) << 1) | 1
-    return _number_id(value) << 1
+    kind = type(value)
+    if kind is not str and (kind is int or kind is float or is_number(value)):
+        return _number_id(value) << 1
+    return (intern_id(value) << 1) | 1
 
 
 class AlphaStore:

@@ -3,8 +3,9 @@
 :class:`CompiledMatcher` is a drop-in peer of the interpreted matchers
 (``matcher_named("compiled")``).  It keeps the canonical WM mirror and
 production list, compiles the ruleset on demand (cached by structural
-fingerprint, see ``kernel/cache.py``), and dispatches each WME change to
-the generated subscriber closures.
+fingerprint, see ``kernel/cache.py``), and hands each WME change to the
+runtime's one entry point (:meth:`KernelRuntime.add` / ``remove``), which
+routes it to its candidate stores and runs their subscriber closures.
 
 Rebuild policy
 --------------
@@ -23,10 +24,9 @@ rows, and per-change counter deltas are snapshotted after the rebuild,
 so measurements reflect only real WM traffic (the interpreted Rete's
 ``add_production`` folds existing WM the same way).
 
-Deletion is two-phase: every store's delete subscribers run while the
-rows and columns still hold the dying WME (retraction re-builds token
-keys from the columns of *all* constituent WMEs, including the dying
-one), then the rows drop.
+Deletion is two-phase (see :meth:`KernelRuntime.remove`): every store's
+delete subscribers run while the rows and columns still hold the dying
+WME, then the rows drop.
 
 Oracle mode
 -----------
@@ -107,16 +107,8 @@ class CompiledMatcher(Matcher):
     def add_wme(self, wme: WME) -> None:
         self._ensure_compiled()
         self._wmes[wme.timetag] = wme
-        counters = self._rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        for store in self._rt.by_class.get(wme.cls, ()):
-            predicate = store.predicate
-            if predicate is None or predicate(wme):
-                store.insert(wme)
-                affected |= store.production_names
-                for fn in store.add_subs:
-                    fn(wme)
+        base = tuple(self._rt.counters)
+        affected = self._rt.add(wme)
         self._record("add", wme, affected, base)
         if self._oracle is not None:
             self._oracle.add_wme(wme)
@@ -127,33 +119,21 @@ class CompiledMatcher(Matcher):
         if timetag not in self._wmes:
             raise Ops5Error(f"WME {wme!r} was never added")
         self._ensure_compiled()
-        counters = self._rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        hit = [s for s in self._rt.by_class.get(wme.cls, ()) if timetag in s.rows]
-        # Phase 1: propagate retraction while columns still hold the WME.
-        for store in hit:
-            affected |= store.production_names
-            for fn in store.del_subs:
-                fn(wme)
-        # Phase 2: drop rows and columns.
-        for store in hit:
-            store.remove(wme)
+        base = tuple(self._rt.counters)
+        affected = self._rt.remove(wme)
         del self._wmes[timetag]
         self._record("remove", wme, affected, base)
         if self._oracle is not None:
             self._oracle.remove_wme(wme)
             self._check_oracle(f"remove of {wme!r}")
 
-    def _record(
-        self, kind: str, wme: WME, affected: set[str], base: tuple
-    ) -> None:
+    def _record(self, kind: str, wme: WME, affected: int, base: tuple) -> None:
         counters = self._rt.counters
         self.stats.record(
             ChangeRecord(
                 kind=kind,
                 wme_class=wme.cls,
-                affected_productions=len(affected),
+                affected_productions=affected,
                 node_activations=counters[0] - base[0],
                 comparisons=counters[1] - base[1],
                 tokens_built=counters[2] - base[2],

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..ops5.production import Instantiation, Production
-from ..ops5.wme import WME, is_number, same_type, values_equal
+from ..ops5.wme import NIL, WME, is_number, same_type, values_equal
 from .layout import AlphaStore
 
 __all__ = ["KernelRuntime"]
@@ -70,7 +70,7 @@ class KernelRuntime:
     """
 
     __slots__ = ("counters", "cs_insert", "cs_delete", "instantiation",
-                 "productions", "stores", "by_class", "subscriptions")
+                 "productions", "stores", "routes", "subscriptions")
 
     # Comparison helpers, shared by every generated kernel.
     veq = staticmethod(values_equal)
@@ -93,7 +93,10 @@ class KernelRuntime:
         #: Positional production list, in codegen order.
         self.productions = productions
         self.stores: list[AlphaStore] = []
-        self.by_class: dict[str, list[AlphaStore]] = {}
+        #: class -> (routed attribute, value -> stores, the stores with
+        #: no constant on that attribute, every store of the class); see
+        #: :meth:`route`.
+        self.routes: dict[str, tuple] = {}
         self.subscriptions = 0
 
     def store(
@@ -107,13 +110,76 @@ class KernelRuntime:
         assert index == len(self.stores)
         store = AlphaStore(cls, columns, predicate, frozenset(production_names))
         self.stores.append(store)
-        self.by_class.setdefault(cls, []).append(store)
         return store
+
+    def route(self, cls: str, attr, table, rest, stores) -> None:
+        """Register one class's routing table (planned by codegen)."""
+        self.routes[cls] = (attr, table, rest, stores)
 
     def subscribe(self, store: AlphaStore, add_fn, del_fn) -> None:
         store.add_subs.append(add_fn)
         store.del_subs.append(del_fn)
         self.subscriptions += 1
+
+    def candidates(self, wme: WME) -> tuple[AlphaStore, ...]:
+        """The stores *wme* may enter: every store whose predicate it
+        could pass, in store order.
+
+        One hash probe on the class's routed attribute replaces a scan
+        of every store predicate of the class.  Only a value of exactly
+        ``str``, ``int`` or ``float`` probes the table: those hash the
+        way the generated tests compare.  A ``nil`` (absent) value
+        probes as the symbol it is; a value matching no constant,
+        NaN among them, gets the stores with no constant test on the
+        attribute.  Any other type (``True`` hashes like ``1`` but never
+        equals it in OPS5; a ``str`` or number subclass may equal a
+        constant without hashing like one) gets every store of the
+        class, whose predicates then decide.
+        """
+        route = self.routes.get(wme.cls)
+        if route is None:
+            return ()
+        attr, table, rest, stores = route
+        if attr is None:
+            return rest
+        value = wme._attributes.get(attr, NIL)
+        kind = type(value)
+        if kind is str or kind is int or kind is float:
+            return table.get(value, rest)
+        return stores
+
+    def add(self, wme: WME) -> int:
+        """Insert *wme* into every store whose predicate it passes and
+        run their subscribers; returns the affected-production count."""
+        affected: set[str] = set()
+        for store in self.candidates(wme):
+            predicate = store.predicate
+            if predicate is None or predicate(wme):
+                store.insert(wme)
+                affected |= store.production_names
+                for fn in store.add_subs:
+                    fn(wme)
+        return len(affected)
+
+    def remove(self, wme: WME) -> int:
+        """Retract *wme* from the stores holding it; returns the
+        affected-production count.
+
+        WMEs are immutable, so it routes exactly as its :meth:`add` did.
+        Two-phase: every delete subscriber runs while the rows and
+        columns still hold the dying WME (a retracting token rebuilds
+        its key from them), then the rows drop.
+        """
+        timetag = wme.timetag
+        hit = [s for s in self.candidates(wme) if timetag in s.rows]
+        affected: set[str] = set()
+        for store in hit:
+            affected |= store.production_names
+            for fn in store.del_subs:
+                fn(wme)
+        for store in hit:
+            store.remove(wme)
+        return len(affected)
 
     def replay(self, wmes: Iterable[WME]) -> int:
         """Feed existing WMEs (in timetag order) into the fresh state.
@@ -124,13 +190,9 @@ class KernelRuntime:
         counter deltas around the whole replay).
         """
         count = 0
+        add = self.add
         for wme in wmes:
-            for store in self.by_class.get(wme.cls, ()):
-                predicate = store.predicate
-                if predicate is None or predicate(wme):
-                    store.insert(wme)
-                    for fn in store.add_subs:
-                        fn(wme)
+            add(wme)
             count += 1
         return count
 

@@ -3,7 +3,8 @@
 :func:`check_kernel` is the compiled counterpart of the Rete
 ``check_network`` hook used by ``repro run --verify``: it audits the
 columnar stores against the WM mirror (membership, column/row
-consistency, encoded values) and then replays the whole session through
+consistency, encoded values, and that the alpha routing table reaches
+every store a WME passes) and then replays the whole session through
 a fresh node-walking :class:`~repro.rete.ReteNetwork`, comparing
 conflict sets.  It returns a list of human-readable problems -- empty
 means the kernel state is exactly what the interpreted Rete would hold.
@@ -48,12 +49,19 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
                             f"holds {encoded}, expected {expected}"
                         )
             for wme in wmes:
-                if wme.cls != store.cls or wme.timetag in store.rows:
+                if wme.cls != store.cls:
                     continue
-                if store.predicate is None or store.predicate(wme):
+                if store.predicate is not None and not store.predicate(wme):
+                    continue
+                if wme.timetag not in store.rows:
                     problems.append(
                         f"store {index}: WME {wme.timetag} passes the alpha "
                         "tests but is missing from the store"
+                    )
+                if store not in runtime.candidates(wme):
+                    problems.append(
+                        f"store {index}: WME {wme.timetag} passes the alpha "
+                        "tests but the routing table does not reach the store"
                     )
 
     # One-shot differential check against the node-walking Rete.

@@ -96,26 +96,9 @@ class ConflictSet:
         return list(self._members.values())
 
 
-def _lex_order_key(instantiation: Instantiation) -> tuple:
-    """Sort key implementing the LEX ordering (larger sorts last).
-
-    Recency sequences are compared lexicographically with the rule that a
-    longer sequence beats its own prefix; appending ``-1`` sentinels would
-    invert that, so we compare (recency tuple, length) -- tuple comparison
-    in Python is already lexicographic-with-shorter-first-on-prefix, which
-    is exactly the OPS5 rule, so the bare tuple works: ``(5, 3) < (5, 3, 1)``.
-    """
-    return (
-        instantiation.recency_key,
-        instantiation.production.specificity,
-        # Deterministic arbitrary tie-break so runs are reproducible.
-        instantiation.production.name,
-        instantiation.timetags,
-    )
-
-
 def _mea_order_key(instantiation: Instantiation) -> tuple:
-    """Sort key for MEA: first-CE recency, then the LEX key.
+    """Sort key for MEA: first-CE recency, then the LEX key
+    (:attr:`Instantiation.lex_key`).
 
     ``timetags`` holds only the WMEs bound by *positive* condition
     elements, so ``timetags[0]`` is the first CE's recency **only if the
@@ -130,7 +113,7 @@ def _mea_order_key(instantiation: Instantiation) -> tuple:
     and exists only for hand-built instantiations.
     """
     first = instantiation.timetags[0] if instantiation.timetags else 0
-    return (first,) + _lex_order_key(instantiation)
+    return (first,) + instantiation.lex_key
 
 
 class Strategy:
@@ -172,7 +155,24 @@ class LexStrategy(Strategy):
     name = "lex"
 
     def _order_key(self, instantiation: Instantiation) -> tuple:
-        return _lex_order_key(instantiation)
+        return instantiation.lex_key
+
+    def select(
+        self,
+        conflict_set: Iterable[Instantiation],
+        already_fired: Callable[[tuple], bool],
+    ) -> Optional[Instantiation]:
+        # Strategy.select with the key read straight off the slot: this
+        # loop runs over the whole conflict set every cycle.
+        best: Optional[Instantiation] = None
+        best_key: Optional[tuple] = None
+        for instantiation in conflict_set:
+            if already_fired(instantiation.key):
+                continue
+            key = instantiation.lex_key
+            if best_key is None or key > best_key:
+                best, best_key = instantiation, key
+        return best
 
 
 class MeaStrategy(Strategy):

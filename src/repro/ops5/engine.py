@@ -246,6 +246,10 @@ class ProductionSystem:
         if isinstance(productions, Program):
             self.literalizations = dict(productions.literalizations)
             productions = productions.productions
+        #: The same declarations as sets, for the per-insert check.
+        self._declared: dict[str, frozenset[str]] = {
+            cls: frozenset(attrs) for cls, attrs in self.literalizations.items()
+        }
         for production in productions:
             self.add_production(production)
 
@@ -271,14 +275,13 @@ class ProductionSystem:
         If the WME's class was ``literalize``d, its attributes must all
         be declared (the OPS5 interpreter's element check).
         """
-        declared = self.literalizations.get(wme.cls)
-        if declared is not None:
-            unknown = set(wme.attributes) - set(declared)
-            if unknown:
-                raise ExecutionError(
-                    f"WME of class {wme.cls!r} uses undeclared attribute(s) "
-                    f"{sorted(unknown)}; literalized: {list(declared)}"
-                )
+        declared = self._declared.get(wme.cls)
+        if declared is not None and not wme._attributes.keys() <= declared:
+            unknown = wme._attributes.keys() - declared
+            raise ExecutionError(
+                f"WME of class {wme.cls!r} uses undeclared attribute(s) "
+                f"{sorted(unknown)}; literalized: {list(self.literalizations[wme.cls])}"
+            )
         self.memory.add(wme)
         self.matcher.add_wme(wme)
         self.total_wme_changes += 1

@@ -102,7 +102,9 @@ class Instantiation:
     identity, matching OPS5 refraction semantics.
     """
 
-    __slots__ = ("production", "wmes", "bindings", "timetags", "key", "recency_key")
+    __slots__ = (
+        "production", "wmes", "bindings", "timetags", "key", "recency_key", "lex_key"
+    )
 
     def __init__(
         self,
@@ -119,6 +121,14 @@ class Instantiation:
         self.key: tuple[str, tuple[int, ...]] = (production.name, self.timetags)
         #: Timetags sorted descending -- the LEX recency ordering key.
         self.recency_key: tuple[int, ...] = tuple(sorted(self.timetags, reverse=True))
+        #: The LEX dominance key (larger wins): recency, then specificity,
+        #: then a deterministic tie-break on name and timetags.  Tuple
+        #: comparison is lexicographic with a prefix sorting first, which
+        #: is the OPS5 rule: ``(5, 3) < (5, 3, 1)``.  Built once here, not
+        #: on every conflict resolution the instantiation takes part in.
+        self.lex_key: tuple = (
+            self.recency_key, production.specificity, production.name, self.timetags
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instantiation):

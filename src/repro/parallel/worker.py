@@ -144,55 +144,27 @@ class ShardState:
         if self._dirty:
             self._rebuild(diff=False)
         self.wmes[wme.timetag] = wme
-        rt = self._rt
-        if rt is None:
-            return (ordinal, 0, 0, 0, 0)
-        stores = rt.by_class.get(wme.cls)
-        if not stores:
-            return (ordinal, 0, 0, 0, 0)
-        counters = rt.counters
-        b0, b1, b2 = counters
-        affected: set[str] = set()
-        for store in stores:
-            predicate = store.predicate
-            if predicate is None or predicate(wme):
-                store.insert(wme)
-                affected |= store.production_names
-                for fn in store.add_subs:
-                    fn(wme)
-        return (
-            ordinal,
-            len(affected),
-            counters[0] - b0,
-            counters[1] - b1,
-            counters[2] - b2,
-        )
+        return self._change(KernelRuntime.add, wme, ordinal)
 
     def _remove_wme(self, timetag: int, ordinal: int) -> StatRow:
         if self._dirty:
             self._rebuild(diff=False)
-        wme = self.wmes.pop(timetag)
+        return self._change(KernelRuntime.remove, self.wmes.pop(timetag), ordinal)
+
+    def _change(self, entry, wme: WME, ordinal: int) -> StatRow:
+        """Run one kernel entry point; the stats row is its counter deltas."""
         rt = self._rt
         if rt is None:
             return (ordinal, 0, 0, 0, 0)
         counters = rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        hit = [s for s in rt.by_class.get(wme.cls, ()) if timetag in s.rows]
-        # Two-phase, like CompiledMatcher: retraction subscribers run
-        # while the columns still hold the dying WME, then rows drop.
-        for store in hit:
-            affected |= store.production_names
-            for fn in store.del_subs:
-                fn(wme)
-        for store in hit:
-            store.remove(wme)
+        b0, b1, b2 = counters
+        affected = entry(rt, wme)
         return (
             ordinal,
-            len(affected),
-            counters[0] - base[0],
-            counters[1] - base[1],
-            counters[2] - base[2],
+            affected,
+            counters[0] - b0,
+            counters[1] - b1,
+            counters[2] - b2,
         )
 
     # -- (re)compilation ---------------------------------------------------

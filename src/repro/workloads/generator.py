@@ -620,14 +620,33 @@ class CaseRecord:
     halted: bool
 
 
+class CaseCutOff(Exception):
+    """A case ran past the campaign's deadline before it finished."""
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise CaseCutOff("deadline passed")
+
+
 def drive_case(
-    matcher, case: FuzzCase, strategy: str = "lex", max_cycles: int = 40
+    matcher,
+    case: FuzzCase,
+    strategy: str = "lex",
+    max_cycles: int = 40,
+    deadline: Optional[float] = None,
 ) -> CaseRecord:
-    """Run *case* on *matcher* and reduce the run to a :class:`CaseRecord`."""
+    """Run *case* on *matcher* and reduce the run to a :class:`CaseRecord`.
+
+    With a *deadline* (``time.monotonic`` value) the run is checked
+    after every stream op and every cycle, and raises
+    :class:`CaseCutOff` once it has passed.
+    """
     system = ProductionSystem(case.program(), matcher=matcher, strategy=strategy)
     live: dict[int, object] = {}
     stream_sets = []
     for op in case.stream:
+        _check_deadline(deadline)
         if op[0] == "add":
             _, slot, cls, attrs = op
             live[slot] = system.add(cls, **attrs)
@@ -637,6 +656,7 @@ def drive_case(
     fired = []
     cycle_sets = []
     while len(fired) < max_cycles:
+        _check_deadline(deadline)
         instantiation = system.step()
         if instantiation is None:
             break
@@ -736,6 +756,9 @@ class CaseOutcome:
     records: dict[str, CaseRecord] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     roundtrip: list[str] = field(default_factory=list)
+    #: The deadline cut the case off before every backend finished: no
+    #: verdict, neither agreement nor a mismatch.
+    unfinished: bool = False
 
     @property
     def errors_agree(self) -> bool:
@@ -756,7 +779,7 @@ class CaseOutcome:
 
     @property
     def ok(self) -> bool:
-        if self.roundtrip:
+        if self.unfinished or self.roundtrip:
             return False
         if self.errors:
             return self.errors_agree
@@ -764,7 +787,10 @@ class CaseOutcome:
 
     @property
     def kind(self) -> str:
-        """What went wrong: ``ok``, ``roundtrip``, ``error``, ``mismatch``."""
+        """What went wrong: ``ok``, ``roundtrip``, ``error``, ``mismatch``,
+        or ``unfinished`` when the deadline cut the case off."""
+        if self.unfinished:
+            return "unfinished"
         if self.roundtrip:
             return "roundtrip"
         if self.errors:
@@ -829,6 +855,7 @@ def run_case(
     backends: Mapping[str, Callable[[], object]],
     strategy: str = "lex",
     max_cycles: int = 40,
+    deadline: Optional[float] = None,
 ) -> CaseOutcome:
     """One case through every backend; asymmetric exceptions are failures.
 
@@ -836,7 +863,9 @@ def run_case(
     divergence as a wrong conflict set -- the fuzzer reports both kinds
     and the shrinker minimises both.  A program every backend rejects
     with the identical error is agreement (see
-    :attr:`CaseOutcome.errors_agree`).
+    :attr:`CaseOutcome.errors_agree`).  If the *deadline* passes
+    mid-case, the remaining backends are skipped and the outcome is
+    :attr:`~CaseOutcome.unfinished`.
     """
     outcome = CaseOutcome(case=case)
     outcome.roundtrip = roundtrip_problems(case)
@@ -844,8 +873,12 @@ def run_case(
         try:
             matcher = backends[name]()
             outcome.records[name] = drive_case(
-                matcher, case, strategy=strategy, max_cycles=max_cycles
+                matcher, case, strategy=strategy, max_cycles=max_cycles,
+                deadline=deadline,
             )
+        except CaseCutOff:
+            outcome.unfinished = True
+            break
         except Exception as error:  # noqa: BLE001 - any crash is a finding
             outcome.errors[name] = f"{type(error).__name__}: {error}"
     return outcome
@@ -1048,6 +1081,9 @@ class FuzzReport:
     iterations: int
     backends: list[str]
     counterexamples: list[CounterExample] = field(default_factory=list)
+    #: Cases the deadline cut off mid-run (at most one per campaign):
+    #: not in ``iterations``, and neither agreement nor a mismatch.
+    unfinished: int = 0
 
     @property
     def ok(self) -> bool:
@@ -1062,6 +1098,7 @@ class FuzzReport:
             "budget_seconds": self.budget,
             "elapsed_seconds": round(self.elapsed, 3),
             "iterations": self.iterations,
+            "unfinished": self.unfinished,
             "backends": self.backends,
             "mismatches": len(self.counterexamples),
             "counterexamples": [c.snapshot() for c in self.counterexamples],
@@ -1117,22 +1154,32 @@ def fuzz(
             case_seed = _case_seed_for(seed, iteration)
             case = case_from_seed(profile, case_seed)
             outcome = run_case(
-                case, backends, strategy=strategy, max_cycles=max_cycles
+                case, backends, strategy=strategy, max_cycles=max_cycles,
+                deadline=deadline,
             )
             if on_case is not None:
                 on_case(iteration, outcome)
+            if outcome.unfinished:
+                report.unfinished += 1
+                break
             if not outcome.ok:
+                def check(candidate: FuzzCase) -> CaseOutcome:
+                    return run_case(
+                        candidate, backends, strategy=strategy,
+                        max_cycles=max_cycles, deadline=deadline,
+                    )
+
                 def still_fails(candidate: FuzzCase) -> bool:
-                    return not run_case(
-                        candidate, backends, strategy=strategy, max_cycles=max_cycles
-                    ).ok
+                    # A candidate the deadline cut off proves nothing.
+                    verdict = check(candidate)
+                    return not verdict.ok and not verdict.unfinished
 
                 shrunk, attempts = shrink_case(
                     case, still_fails, max_attempts=shrink_attempts, deadline=deadline
                 )
-                final = run_case(
-                    shrunk, backends, strategy=strategy, max_cycles=max_cycles
-                )
+                final = check(shrunk)
+                if final.unfinished:
+                    final = outcome
                 report.counterexamples.append(
                     CounterExample(
                         iteration=iteration,

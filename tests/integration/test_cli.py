@@ -210,6 +210,74 @@ class TestServeCommand:
         assert rcs == [0]
 
 
+def _pid_alive(pid):
+    """True while *pid* runs (a zombie has exited and counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+class TestServeSigterm:
+    """SIGTERM drains ``repro serve`` like SIGINT, in every topology."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [[], ["--workers", "2"], ["--workers", "1", "--processes"]],
+        ids=["single", "in-process-fleet", "process-fleet"],
+    )
+    def test_sigterm_exits_cleanly_and_reaps_workers(self, tmp_path, topology):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+        from repro.serve import RuleClient
+
+        argv = [sys.executable, "-u", "-m", "repro", "serve",
+                "--host", "127.0.0.1", "--port", "0", *topology]
+        if "--processes" in topology:
+            argv += ["--durability-dir", str(tmp_path / "journals")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        log_path = tmp_path / "serve.log"
+        with open(log_path, "w") as log:
+            process = subprocess.Popen(
+                argv, stdout=log, stderr=subprocess.STDOUT,
+                stdin=subprocess.DEVNULL, env=env,
+            )
+        try:
+            address = None
+            deadline = time.monotonic() + 60
+            while address is None:
+                assert process.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "server never announced"
+                for line in log_path.read_text().splitlines():
+                    if line.startswith(("serving on ", "routing on ")):
+                        host, port = line.split()[2].rsplit(":", 1)
+                        address = (host, int(port))
+                time.sleep(0.05)
+            with RuleClient(address, timeout=60) as client:
+                stats = client.request("stats")
+            pids = stats.get("router", {}).get("fleet", {}).get("pids", [])
+            if "--processes" in topology:
+                assert pids and all(_pid_alive(pid) for pid in pids)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0, log_path.read_text()
+            deadline = time.monotonic() + 10
+            while any(_pid_alive(pid) for pid in pids):
+                assert time.monotonic() < deadline, f"workers outlived the server: {pids}"
+                time.sleep(0.05)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+
 class TestVerifyFlag:
     def test_verify_passes_on_clean_run(self, capsys, tmp_path):
         from repro.cli import main

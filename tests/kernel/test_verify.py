@@ -66,3 +66,17 @@ class TestChecker:
         matcher.conflict_set.delete_key(key)  # sabotage
         problems = check_kernel(matcher)
         assert any("conflict set diverges" in p for p in problems)
+
+    def test_detects_routing_table_that_misses_a_store(self):
+        matcher = CompiledMatcher()
+        source = "(p red (block ^color red) --> (halt))\n(p blue (block ^color blue) --> (halt))"
+        for production in parse_program(source).productions:
+            matcher.add_production(production)
+        memory = WorkingMemory()
+        matcher.add_wme(memory.add(WME("block", {"color": "red"})))
+        assert check_kernel(matcher) == []
+        routes = matcher.runtime.routes
+        attr, table, rest, stores = routes["block"]
+        routes["block"] = (attr, {**table, "red": table["blue"]}, rest, stores)  # sabotage
+        problems = check_kernel(matcher)
+        assert any("routing table does not reach" in p for p in problems)

@@ -8,6 +8,7 @@ dedicated fuzz job.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,46 @@ class TestInjectedBug:
         assert failing(shrunk)
         assert len(shrunk.productions) <= len(case.productions)
         assert len(shrunk.stream) <= len(case.stream)
+
+
+class SlowMatcher(NaiveMatcher):
+    """Correct but slow: every change sleeps, so one case outlasts a
+    short budget."""
+
+    def add_wme(self, wme):
+        time.sleep(0.05)
+        super().add_wme(wme)
+
+
+class TestDeadline:
+    """A campaign returns near its budget even when one case is slow."""
+
+    def test_slow_case_is_cut_off_and_counted_unfinished(self):
+        start = time.monotonic()
+        report = fuzz(
+            seed=0,
+            budget=0.5,
+            backends={"naive": NaiveMatcher, "slow": SlowMatcher},
+        )
+        elapsed = time.monotonic() - start
+        # Overshoot is bounded by one op or cycle of one backend.
+        assert elapsed < 2.0
+        assert report.unfinished == 1
+        assert report.ok and not report.counterexamples
+        snapshot = json.loads(json.dumps(report.snapshot()))
+        assert snapshot["unfinished"] == 1
+        assert snapshot["mismatches"] == 0
+
+    def test_cut_off_case_is_neither_agreement_nor_mismatch(self):
+        case = case_from_seed(DEFAULT_PROFILE, 3)
+        outcome = run_case(
+            case, {"naive": NaiveMatcher, "slow": SlowMatcher},
+            deadline=time.monotonic() - 1.0,
+        )
+        assert outcome.unfinished
+        assert outcome.kind == "unfinished"
+        assert not outcome.ok
+        assert not outcome.records and not outcome.errors
 
 
 class TestEmittedSystems:
